@@ -39,13 +39,11 @@ from .expansion import (
 )
 from .index import InvertedIndex, ScoredHit, WeightedQuery, build_index
 from .llm import (
-    GenerationBatch,
     GenerationCache,
     GenerationRequest,
     LlmClient,
     MockBackend,
     RemoteBackend,
-    cached_generate,
     generate,
     prompt_hash,
 )
@@ -68,13 +66,11 @@ __all__ = [
     "rm3_expand",
     "rm3_search",
     "GenerationRequest",
-    "GenerationBatch",
     "GenerationCache",
     "LlmClient",
     "MockBackend",
     "RemoteBackend",
     "generate",
-    "cached_generate",
     "prompt_hash",
     "ExpandedQuery",
     "ExtractionResult",

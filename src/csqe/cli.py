@@ -266,7 +266,7 @@ def cmd_run(args) -> int:
         return _run_one_query(args.method, query, index, client, cfg, rm3_cfg,
                               config["topk"], dump)
 
-    if config["jobs"] > 1 and dump is None:
+    if config["jobs"] > 1:
         with ThreadPoolExecutor(max_workers=config["jobs"]) as pool:
             all_hits = list(pool.map(run_query, queries))
     else:

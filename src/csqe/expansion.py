@@ -15,6 +15,7 @@ original terms keep their weight under bag-of-words BM25 scoring.
 import json
 import logging
 import re
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -272,15 +273,31 @@ class PipelineConfig:
 
 
 class PromptDump:
-    """Writes every constructed prompt and raw response under a directory."""
+    """Writes every constructed prompt and raw response under a directory.
+
+    One instance may be shared by threads. Files are named after the query
+    id with every character outside ``[\\w.-]`` replaced by ``_``; an id that
+    needed a replacement also gets ``~`` and 12 hex digits of its sha256, so
+    ids that sanitize alike (``q 1`` and ``q_1``) keep their own files.
+    ``prompts.json`` lists the records sorted by query id, then kind (csqe
+    before keqe), so it does not depend on the order queries ran in.
+    """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._records = []
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _file_stem(query_id: str) -> str:
+        safe = re.sub(r"[^\w.-]", "_", query_id)
+        if safe != query_id:
+            safe += "~" + prompt_hash(query_id)[:12]
+        return safe
 
     def record(self, query_id: str, kind: str, prompt: str, responses: Sequence[str]) -> None:
-        safe = re.sub(r"[^\w.-]", "_", query_id)
+        safe = self._file_stem(query_id)
         prompt_file = f"{safe}.{kind}.prompt.txt"
         (self.root / prompt_file).write_text(prompt, encoding="utf-8")
         response_files = []
@@ -288,28 +305,22 @@ class PromptDump:
             name = f"{safe}.{kind}.{i}.response.txt"
             (self.root / name).write_text(response, encoding="utf-8")
             response_files.append(name)
-        self._records.append(
-            {
-                "query_id": query_id,
-                "kind": kind,
-                "prompt_file": prompt_file,
-                "prompt_sha256": prompt_hash(prompt),
-                "response_files": response_files,
-            }
-        )
+        with self._lock:
+            self._records.append(
+                {
+                    "query_id": query_id,
+                    "kind": kind,
+                    "prompt_file": prompt_file,
+                    "prompt_sha256": prompt_hash(prompt),
+                    "response_files": response_files,
+                }
+            )
 
     def finalize(self) -> None:
-        payload = json.dumps(self._records, indent=2, sort_keys=True) + "\n"
+        with self._lock:
+            records = sorted(self._records, key=lambda r: (r["query_id"], r["kind"]))
+        payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
         (self.root / "prompts.json").write_text(payload, encoding="utf-8")
-
-
-def _keqe_passages(query: Query, llm: LlmClient, cfg: PipelineConfig,
-                   dump: Optional[PromptDump]) -> list[str]:
-    prompt = build_keqe_prompt(query.text)
-    texts = llm.sample(prompt, cfg.n_keqe, temperature=cfg.temperature)
-    if dump:
-        dump.record(query.id, "keqe", prompt, texts)
-    return [t for t in texts if t.strip()]
 
 
 def keqe_pipeline(
@@ -323,7 +334,11 @@ def keqe_pipeline(
     """Expand with hypothetical passages only, then retrieve."""
     if cfg.n_keqe < 1:
         raise ValueError("keqe pipeline needs n_keqe >= 1")
-    passages = _keqe_passages(query, llm, cfg, dump)
+    prompt = build_keqe_prompt(query.text)
+    texts = llm.sample(prompt, cfg.n_keqe, temperature=cfg.temperature)
+    if dump:
+        dump.record(query.id, "keqe", prompt, texts)
+    passages = [t for t in texts if t.strip()]
     expanded = compose_expanded_query(query.text, passages)
     return index.search(expanded.composed, top_k)
 
@@ -338,15 +353,15 @@ def csqe_pipeline(
 ) -> list[ScoredHit]:
     """Corpus-steered expansion: extraction sentences plus KEQE passages.
 
-    One first pass feeds every extraction sample. When the first pass is
-    empty the corpus-originated step is skipped; with no expansions at all
-    the retrieval degrades to plain BM25.
+    One first pass feeds every extraction sample. The extraction and KEQE
+    requests do not depend on each other, so both go to the LLM in one call.
+    When the first pass is empty the corpus-originated step is skipped; with
+    no expansions at all the retrieval degrades to plain BM25.
     """
     if cfg.n_csqe < 1:
         raise ValueError("csqe pipeline needs n_csqe >= 1")
     first_pass = index.search(query.text, cfg.k_feedback)
-    sentences: list[str] = []
-    seen: set[str] = set()
+    generations = []  # (kind, prompt, n)
     if first_pass:
         docs = [
             truncate_whitespace_tokens(
@@ -354,18 +369,27 @@ def csqe_pipeline(
             )
             for hit in first_pass
         ]
-        prompt = build_csqe_prompt(query.text, docs)
-        responses = llm.sample(prompt, cfg.n_csqe, temperature=cfg.temperature)
-        if dump:
-            dump.record(query.id, "csqe", prompt, responses)
-        for raw in responses:
-            for sentence in parse_csqe_response(raw, len(docs)).sentences:
-                if sentence not in seen:
-                    seen.add(sentence)
-                    sentences.append(sentence)
+        generations.append(("csqe", build_csqe_prompt(query.text, docs), cfg.n_csqe))
     else:
         log.warning("query %s: empty first pass, skipping corpus-originated expansion", query.id)
+    if cfg.n_keqe > 0:
+        generations.append(("keqe", build_keqe_prompt(query.text), cfg.n_keqe))
+    samples = llm.sample_many([(prompt, n) for _, prompt, n in generations],
+                              temperature=cfg.temperature)
 
-    passages = _keqe_passages(query, llm, cfg, dump) if cfg.n_keqe > 0 else []
+    sentences: list[str] = []
+    seen: set[str] = set()
+    passages: list[str] = []
+    for (kind, prompt, _), texts in zip(generations, samples):
+        if dump:
+            dump.record(query.id, kind, prompt, texts)
+        if kind == "keqe":
+            passages = [t for t in texts if t.strip()]
+        else:
+            for raw in texts:
+                for sentence in parse_csqe_response(raw, len(first_pass)).sentences:
+                    if sentence not in seen:
+                        seen.add(sentence)
+                        sentences.append(sentence)
     expanded = compose_expanded_query(query.text, sentences + passages)
     return index.search(expanded.composed, top_k)

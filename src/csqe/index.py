@@ -10,6 +10,7 @@ import json
 import math
 import os
 import struct
+import uuid
 import zlib
 from bisect import bisect_left
 from collections import Counter
@@ -151,8 +152,9 @@ class InvertedIndex:
             "postings": {t: [[o, f] for o, f in pl] for t, pl in self.postings.items()},
         }
         blob = zlib.compress(json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8"))
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
+        # unique per call: concurrent or nested saves to one path never share it
+        tmp = f"{path}.tmp.{uuid.uuid4().hex}"
+        with open(tmp, "xb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", _FORMAT_VERSION))
             fh.write(blob)

@@ -1,13 +1,18 @@
 """Text-generation backends with per-sample fingerprinting and a file cache.
 
-Two backends share one interface (``fetch(prompt, temperature, ordinals)``):
+Two backends share one interface: ``fetch(prompt, temperature, ordinals)``
+returns one text per ordinal, and ``fetch_many(jobs)`` takes a list of such
+``(prompt, temperature, ordinals)`` jobs and returns their texts in job order.
 
 * ``RemoteBackend`` posts a chat-completion request
   ``{model, messages:[{role:"user",content:prompt}], temperature, n}`` and
-  reads ``choices[i].message.content`` in order.
+  reads ``choices[i].message.content`` in order. Its ``fetch_many`` keeps
+  every job's request in flight at once, one thread per extra job, so a
+  call waits about one round-trip however many jobs it has.
 * ``MockBackend`` serves completions from a fixture table keyed by
   ``"<sha256(prompt)>:<ordinal>"`` and errors on unknown keys, which makes
-  whole pipeline runs deterministic and offline.
+  whole pipeline runs deterministic and offline. It never waits, so its
+  ``fetch_many`` runs the jobs one after another on the calling thread.
 
 Every sample is addressed by a stable fingerprint of
 (model_id, prompt, temperature, ordinal); the cache stores one file per
@@ -19,7 +24,9 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,12 +56,6 @@ class GenerationRequest:
             raise ValueError("temperature must be >= 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-
-
-@dataclass(frozen=True)
-class GenerationBatch:
-    texts: tuple[str, ...]
-    request_fingerprint: str
 
 
 def prompt_hash(prompt: str) -> str:
@@ -113,9 +114,18 @@ class MockBackend:
             out.append(self.fixtures[key])
         return out
 
+    def fetch_many(self, jobs: Sequence[tuple]) -> list[list[str]]:
+        """Fetch each ``(prompt, temperature, ordinals)`` job in turn."""
+        return [self.fetch(*job) for job in jobs]
+
 
 class RemoteBackend:
-    """Chat-completion HTTP backend with retry/backoff."""
+    """Chat-completion HTTP backend with retry/backoff.
+
+    A retry waits ``backoff * 2**(attempt-1)`` seconds, or longer when a 429
+    or 503 reply carries ``Retry-After`` in integer seconds (capped at
+    ``timeout``).
+    """
 
     def __init__(
         self,
@@ -142,6 +152,47 @@ class RemoteBackend:
             return [self._request(prompt, temperature, 1)[0] for _ in ordinals]
         return self._request(prompt, temperature, len(ordinals))
 
+    def fetch_many(self, jobs: Sequence[tuple]) -> list[list[str]]:
+        """Fetch each ``(prompt, temperature, ordinals)`` job, all at once.
+
+        The first job runs on the calling thread and every other job on a
+        short-lived thread of its own. All of them are joined before this
+        returns or raises; the first failure in job order is raised.
+        """
+        if not jobs:
+            return []
+        results: list = [None] * len(jobs)
+        errors: list = [None] * len(jobs)
+
+        def run(i: int) -> None:
+            try:
+                results[i] = self.fetch(*jobs[i])
+            except BaseException as exc:  # re-raised on the calling thread below
+                errors[i] = exc
+
+        workers = [threading.Thread(target=run, args=(i,), daemon=True)
+                   for i in range(1, len(jobs))]
+        for worker in workers:
+            worker.start()
+        try:
+            results[0] = self.fetch(*jobs[0])
+        finally:
+            for worker in workers:
+                worker.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        return results
+
+    def _retry_after(self, resp: requests.Response) -> float:
+        """Seconds a 429 or 503 reply asks to wait: integer form only, capped at the timeout."""
+        if resp.status_code not in (429, 503):
+            return 0.0
+        value = resp.headers.get("Retry-After", "").strip()
+        if not (value.isascii() and value.isdigit()):
+            return 0.0  # absent, or the HTTP-date form, which is not honoured
+        return min(float(value), self.timeout)
+
     def _request(self, prompt: str, temperature: float, n: int) -> list[str]:
         body = {
             "model": self.model_id,
@@ -153,9 +204,11 @@ class RemoteBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         error: BackendError = BackendError("no request attempted")
+        retry_after = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(max(self.backoff * 2 ** (attempt - 1), retry_after))
+            retry_after = 0.0
             try:
                 resp = self._session.post(
                     self.endpoint, json=body, headers=headers, timeout=self.timeout
@@ -172,6 +225,7 @@ class RemoteBackend:
             )
             if resp.status_code < 500 and resp.status_code != 429:
                 break  # client errors do not get better on retry
+            retry_after = self._retry_after(resp)
             log.warning("backend HTTP %d (attempt %d)", resp.status_code, attempt + 1)
         raise error
 
@@ -221,8 +275,10 @@ class GenerationCache:
     def put(self, fingerprint: str, text: str) -> None:
         body = text.encode("utf-8")
         payload = b"sha256:" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body
-        tmp = self.root / f"{fingerprint}.tmp.{os.getpid()}"
-        tmp.write_bytes(payload)
+        # unique per call: writers of one fingerprint, even nested on one thread, never share it
+        tmp = self.root / f"{fingerprint}.tmp.{uuid.uuid4().hex}"
+        with open(tmp, "xb") as fh:
+            fh.write(payload)
         os.replace(tmp, self._path(fingerprint))
 
     def _entries(self):
@@ -239,32 +295,44 @@ class GenerationCache:
         return len(entries)
 
 
-def generate(backend, req: GenerationRequest) -> GenerationBatch:
-    """Fetch all samples for a request straight from the backend."""
-    texts = backend.fetch(req.prompt, req.temperature, list(range(req.n_samples)))
-    if len(texts) != req.n_samples:
-        raise BackendError(f"backend produced {len(texts)} samples, expected {req.n_samples}")
-    return GenerationBatch(tuple(texts), request_fingerprint(req))
+def generate(backend, requests: Sequence[GenerationRequest],
+             cache: Optional[GenerationCache] = None) -> list[list[str]]:
+    """Texts for each request, in request and sample order.
 
-
-def cached_generate(cache: GenerationCache, backend, req: GenerationRequest) -> GenerationBatch:
-    """Per-sample cache lookup; only missing ordinals reach the backend."""
-    fingerprints = [
-        sample_fingerprint(req.model_id, req.prompt, req.temperature, i)
-        for i in range(req.n_samples)
-    ]
-    texts: list[Optional[str]] = [cache.get(fp) for fp in fingerprints]
-    missing = [i for i, t in enumerate(texts) if t is None]
-    if missing:
-        fetched = backend.fetch(req.prompt, req.temperature, missing)
-        if len(fetched) != len(missing):
-            raise BackendError(
-                f"backend produced {len(fetched)} samples, expected {len(missing)}"
-            )
-        for ordinal, text in zip(missing, fetched):
-            cache.put(fingerprints[ordinal], text)
-            texts[ordinal] = text
-    return GenerationBatch(tuple(texts), request_fingerprint(req))
+    With a cache, samples are looked up by fingerprint and only the missing
+    ordinals reach the backend. Every miss of every request goes to the
+    backend in one ``fetch_many`` call, so a backend that overlaps its jobs
+    waits once per call. Lookups and stores run on the calling thread.
+    """
+    texts: list[list[Optional[str]]] = []
+    jobs = []
+    pending = []  # (texts slot, fingerprints, missing ordinals) for each job
+    for req in requests:
+        if cache is None:
+            fingerprints = None
+            slot: list[Optional[str]] = [None] * req.n_samples
+        else:
+            fingerprints = [
+                sample_fingerprint(req.model_id, req.prompt, req.temperature, i)
+                for i in range(req.n_samples)
+            ]
+            slot = [cache.get(fp) for fp in fingerprints]
+        texts.append(slot)
+        missing = [i for i, t in enumerate(slot) if t is None]
+        if missing:
+            jobs.append((req.prompt, req.temperature, missing))
+            pending.append((slot, fingerprints, missing))
+    if jobs:
+        for (slot, fingerprints, missing), fetched in zip(pending, backend.fetch_many(jobs)):
+            if len(fetched) != len(missing):
+                raise BackendError(
+                    f"backend produced {len(fetched)} samples, expected {len(missing)}"
+                )
+            for ordinal, text in zip(missing, fetched):
+                if cache is not None:
+                    cache.put(fingerprints[ordinal], text)
+                slot[ordinal] = text
+    return texts
 
 
 class LlmClient:
@@ -276,12 +344,15 @@ class LlmClient:
         self.cache = cache
         self.model_id = model_id or getattr(backend, "model_id", DEFAULT_MODEL_ID)
 
+    def sample_many(self, requests: Sequence[tuple[str, int]],
+                    temperature: float = DEFAULT_TEMPERATURE) -> list[list[str]]:
+        """``n`` texts for each ``(prompt, n)`` request, fetching all cache misses at once."""
+        reqs = [
+            GenerationRequest(prompt=prompt, temperature=temperature, n_samples=n,
+                              model_id=self.model_id)
+            for prompt, n in requests
+        ]
+        return generate(self.backend, reqs, self.cache)
+
     def sample(self, prompt: str, n: int, temperature: float = DEFAULT_TEMPERATURE) -> list[str]:
-        req = GenerationRequest(
-            prompt=prompt, temperature=temperature, n_samples=n, model_id=self.model_id
-        )
-        if self.cache is not None:
-            batch = cached_generate(self.cache, self.backend, req)
-        else:
-            batch = generate(self.backend, req)
-        return list(batch.texts)
+        return self.sample_many([(prompt, n)], temperature)[0]

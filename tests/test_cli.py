@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from csqe.cli import main
-from csqe.llm import GenerationCache
+from csqe.errors import BackendError
+from csqe.expansion import build_keqe_prompt
+from csqe.llm import GenerationCache, RemoteBackend
 
 from conftest import TOY_DIR
 
@@ -66,6 +69,20 @@ def test_fixture_miss_is_backend_error(toy_index, tmp_path, capsys):
                         "--backend", "mock", "--mock-fixtures", str(fixtures)))
     assert rc == 3
     assert "backend error" in capsys.readouterr().err
+
+
+def test_remote_error_on_either_csqe_request_is_backend_error(toy_index, tmp_path,
+                                                             monkeypatch, capsys):
+    def fetch(self, prompt, temperature, ordinals):
+        if prompt.startswith(build_keqe_prompt("x")[:20]):  # the request on the worker thread
+            raise BackendError("backend returned HTTP 500: keqe refused", status=500)
+        return ["" for _ in ordinals]
+
+    monkeypatch.setattr(RemoteBackend, "fetch", fetch)
+    rc = main(_run_args("csqe", toy_index, tmp_path / "o.txt", "--jobs", "2",
+                        "--backend", "remote", "--endpoint", "http://127.0.0.1:9/unused"))
+    assert rc == 3
+    assert "keqe refused" in capsys.readouterr().err
 
 
 def test_eval_disjoint_qrels_is_data_error(toy_index, tmp_path, capsys):
@@ -143,6 +160,24 @@ def test_run_with_jobs_parallel_matches_serial(toy_index, tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+# sha256 of the toy run files (mock backend). Every ranking and printed score
+# is pinned: a change that moves one must update these digests on purpose.
+_TOY_RUN_SHA256 = {
+    "bm25": "079d8cb4f660d57f4d1b98810b26273966765895bb80df1dc1045b68ba95772d",
+    "rm3": "703bf54c108b515c80f1877b6a975f80d8dea7ad910c2d0cef285ddb23a97d62",
+    "keqe": "9da058bb9bc5b6679fca8ec07933ca8d3717ef89685929ef022cae7b5deeffb6",
+    "csqe": "5557df65814329def2ef60deaa9cf4069d8ec23ce7406c9137a4fc295961415e",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+@pytest.mark.parametrize("method", sorted(_TOY_RUN_SHA256))
+def test_toy_run_files_match_pinned_digests(toy_index, tmp_path, method, jobs):
+    out = tmp_path / f"{method}.txt"
+    assert main(_run_args(method, toy_index, out, "--jobs", jobs, *_mock_args())) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _TOY_RUN_SHA256[method]
+
+
 def test_rm3_run_flags(toy_index, tmp_path):
     out = tmp_path / "rm3.txt"
     rc = main(_run_args("rm3", toy_index, out,
@@ -192,6 +227,19 @@ def test_dump_prompts_writes_audit_files(toy_index, tmp_path):
     records = json.loads((dump_dir / "prompts.json").read_text(encoding="utf-8"))
     assert any(r["kind"] == "csqe" for r in records)
     assert all(len(r["prompt_sha256"]) == 64 for r in records)
+
+
+def test_dump_prompts_identical_for_serial_and_parallel_runs(toy_index, tmp_path):
+    dumps = {}
+    for jobs in ("1", "4"):
+        dump_dir = tmp_path / f"dump{jobs}"
+        rc = main(_run_args("csqe", toy_index, tmp_path / f"run{jobs}.txt", "--jobs", jobs,
+                            "--dump-prompts", str(dump_dir), *_mock_args()))
+        assert rc == 0
+        dumps[jobs] = {p.name: p.read_bytes() for p in dump_dir.iterdir()}
+    assert dumps["1"] == dumps["4"]
+    # prompts.json, then per query: 2 prompts and 2 + 2 responses
+    assert len(dumps["1"]) == 1 + 5 * 6
 
 
 def test_run_with_cache_then_cache_subcommands(toy_index, tmp_path, capsys):

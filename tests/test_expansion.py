@@ -1,9 +1,13 @@
+import json
 import re
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from csqe.corpus import Document, Query
+from csqe.errors import BackendError
 from csqe.expansion import (
     EXAMPLE_ANSWER,
     EXAMPLE_DOCS,
@@ -20,7 +24,7 @@ from csqe.expansion import (
     verify_extraction,
 )
 from csqe.index import build_index
-from csqe.llm import LlmClient, MockBackend, fixture_key
+from csqe.llm import GenerationCache, LlmClient, MockBackend, RemoteBackend, fixture_key
 
 from conftest import DATA_DIR
 
@@ -429,6 +433,137 @@ def test_prompt_dump_records_files(tmp_path, pipeline_index):
     keqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=5, dump=dump)
     dump.finalize()
     root = tmp_path / "dump"
-    assert (root / "q_one.keqe.prompt.txt").read_text(encoding="utf-8") == prompt
-    assert (root / "q_one.keqe.0.response.txt").read_text(encoding="utf-8") == "a passage"
-    assert (root / "prompts.json").exists()
+    [record] = json.loads((root / "prompts.json").read_text(encoding="utf-8"))
+    assert record["prompt_file"].startswith("q_one~")
+    assert (root / record["prompt_file"]).read_text(encoding="utf-8") == prompt
+    assert [(root / name).read_text(encoding="utf-8") for name in record["response_files"]] == [
+        "a passage"
+    ]
+
+
+def test_prompt_dump_ids_that_sanitize_alike_keep_their_own_files(tmp_path):
+    dump = PromptDump(tmp_path)
+    dump.record("q 1", "keqe", "prompt of q 1", ["answer of q 1"])
+    dump.record("q_1", "keqe", "prompt of q_1", ["answer of q_1"])
+    dump.finalize()
+    records = json.loads((tmp_path / "prompts.json").read_text(encoding="utf-8"))
+    assert [r["query_id"] for r in records] == ["q 1", "q_1"]
+    assert records[1]["prompt_file"] == "q_1.keqe.prompt.txt"  # safe ids keep their name
+    for record in records:
+        qid = record["query_id"]
+        assert (tmp_path / record["prompt_file"]).read_text(encoding="utf-8") == f"prompt of {qid}"
+        [response] = record["response_files"]
+        assert (tmp_path / response).read_text(encoding="utf-8") == f"answer of {qid}"
+
+
+def test_prompt_dump_order_does_not_depend_on_call_order(tmp_path):
+    payloads = []
+    for order in (["t2", "t1"], ["t1", "t2"]):
+        dump = PromptDump(tmp_path / "".join(order))
+        for qid in order:
+            dump.record(qid, "keqe", f"keqe {qid}", [])
+            dump.record(qid, "csqe", f"csqe {qid}", [])
+        dump.finalize()
+        payloads.append((dump.root / "prompts.json").read_bytes())
+    assert payloads[0] == payloads[1]
+    records = json.loads(payloads[0])
+    assert [(r["query_id"], r["kind"]) for r in records] == [
+        ("t1", "csqe"), ("t1", "keqe"), ("t2", "csqe"), ("t2", "keqe")
+    ]
+
+
+# -- overlapped extraction and KEQE requests ------------------------------------------
+
+
+class _OverlapRemote(RemoteBackend):
+    """Remote backend served from mock fixtures, never contacting an endpoint.
+
+    Each fetch waits until two fetches are in flight together. A fetch whose
+    kind (csqe or keqe) is in ``failing`` raises a BackendError; every other
+    one finishes a little later and logs its kind in ``finished``.
+    """
+
+    def __init__(self, fixtures, failing=()):
+        super().__init__("http://127.0.0.1:9/unused", model_id="mock")
+        self.mock = MockBackend(fixtures)
+        self.barrier = threading.Barrier(2, timeout=5)
+        self.failing = set(failing)
+        self.finished = []
+
+    def fetch(self, prompt, temperature, ordinals):
+        self.barrier.wait()
+        kind = "keqe" if prompt == build_keqe_prompt("penguin heat") else "csqe"
+        if kind in self.failing:
+            raise BackendError(f"{kind} request refused", status=500)
+        time.sleep(0.05)
+        self.finished.append(kind)
+        return self.mock.fetch(prompt, temperature, ordinals)
+
+
+def _overlap_case(pipeline_index):
+    query = Query("q1", "penguin heat")
+    cfg = PipelineConfig(n_keqe=2, n_csqe=2, k_feedback=5)
+    first_pass = pipeline_index.search(query.text, cfg.k_feedback)
+    rel_pos = [h.doc_id for h in first_pass].index("rel") + 1
+    sentence = "penguin huddle conserve heat antarctic winter blubber feather"
+    response = format_extraction_response(query.text, [(rel_pos, [sentence])])
+    fixtures, _ = _csqe_fixtures(
+        pipeline_index, query, cfg, responses=[response, "Nothing relevant."],
+        keqe_passages=["huddle keeps penguin heat", "penguin blubber holds heat"],
+    )
+    return query, cfg, fixtures
+
+
+def test_csqe_pipeline_keeps_extraction_and_keqe_in_flight_together(pipeline_index):
+    query, cfg, fixtures = _overlap_case(pipeline_index)
+    threads_before = set(threading.enumerate())
+    backend = _OverlapRemote(fixtures)
+    hits = csqe_pipeline(query, pipeline_index, LlmClient(backend), cfg, top_k=10)
+    assert hits == csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    assert len(backend.finished) == 2
+    assert set(threading.enumerate()) == threads_before
+
+
+@pytest.mark.parametrize("failing", [("csqe",), ("keqe",), ("csqe", "keqe")])
+def test_csqe_pipeline_raises_backend_error_after_joining_the_other_request(
+        pipeline_index, failing):
+    query, cfg, fixtures = _overlap_case(pipeline_index)
+    threads_before = set(threading.enumerate())
+    backend = _OverlapRemote(fixtures, failing)
+    # the extraction request comes first, so its error wins when both fail
+    with pytest.raises(BackendError, match=f"{failing[0]} request refused"):
+        csqe_pipeline(query, pipeline_index, LlmClient(backend), cfg, top_k=10)
+    assert backend.finished == [k for k in ("csqe", "keqe") if k not in failing]
+    assert set(threading.enumerate()) == threads_before
+
+
+class _BatchSpy(MockBackend):
+    def __init__(self, fixtures):
+        super().__init__(fixtures)
+        self.batches = []
+
+    def fetch_many(self, jobs):
+        self.batches.append([(prompt[:8], list(ordinals)) for prompt, _, ordinals in jobs])
+        return super().fetch_many(jobs)
+
+
+def test_csqe_pipeline_sends_both_requests_in_one_call_and_warm_cache_sends_none(
+        pipeline_index, tmp_path):
+    query, cfg, fixtures = _overlap_case(pipeline_index)
+    backend = _BatchSpy(fixtures)
+    client = LlmClient(backend, cache=GenerationCache(tmp_path / "cache"))
+    cold = csqe_pipeline(query, pipeline_index, client, cfg, top_k=10)
+    assert [[ordinals for _, ordinals in batch] for batch in backend.batches] == [[[0, 1], [0, 1]]]
+    warm = csqe_pipeline(query, pipeline_index, client, cfg, top_k=10)
+    assert warm == cold
+    assert len(backend.batches) == 1
+
+
+def test_csqe_pipeline_dump_records_csqe_before_keqe(pipeline_index, tmp_path):
+    query, cfg, fixtures = _overlap_case(pipeline_index)
+    dump = PromptDump(tmp_path / "dump")
+    csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10, dump=dump)
+    dump.finalize()
+    records = json.loads((dump.root / "prompts.json").read_text(encoding="utf-8"))
+    assert [r["kind"] for r in records] == ["csqe", "keqe"]
+    assert [len(r["response_files"]) for r in records] == [2, 2]

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -233,6 +234,24 @@ def test_save_load_round_trip(tmp_path, shark_docs):
     assert loaded.k1 == index.k1 and loaded.b == index.b
     for query in ("shark", "shark warm", "cold warm shark"):
         assert loaded.search(query, 10) == index.search(query, 10)
+
+
+def test_save_survives_a_nested_save_to_the_same_path(tmp_path, shark_index, monkeypatch):
+    path = tmp_path / "toy.bin"
+    real_replace = os.replace
+    nested = []
+
+    def replace(src, dst):
+        if not nested:
+            nested.append(src)
+            shark_index.save(str(path))  # a second writer finishes inside the first
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    shark_index.save(str(path))
+    assert nested
+    assert InvertedIndex.load(str(path)).search("shark", 10) == shark_index.search("shark", 10)
+    assert [p.name for p in tmp_path.iterdir()] == ["toy.bin"]
 
 
 def test_load_rejects_bad_magic(tmp_path):

@@ -1,5 +1,7 @@
 import json
+import os
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -12,7 +14,6 @@ from csqe.llm import (
     LlmClient,
     MockBackend,
     RemoteBackend,
-    cached_generate,
     fixture_key,
     generate,
     prompt_hash,
@@ -25,11 +26,16 @@ class SpyBackend:
 
     def __init__(self):
         self.calls = []
+        self.batches = []
         self.model_id = "spy"
 
     def fetch(self, prompt, temperature, ordinals):
         self.calls.append(list(ordinals))
         return [f"{prompt_hash(prompt)[:8]}/{i}" for i in ordinals]
+
+    def fetch_many(self, jobs):
+        self.batches.append(len(jobs))
+        return [self.fetch(*job) for job in jobs]
 
 
 # -- requests and fingerprints ---------------------------------------------------
@@ -74,14 +80,14 @@ def test_fingerprint_stable_across_runs():
 
 def test_mock_returns_fixtures_in_order():
     fixtures = {fixture_key("p", 0): "x", fixture_key("p", 1): "y"}
-    batch = generate(MockBackend(fixtures), GenerationRequest(prompt="p", n_samples=2))
-    assert list(batch.texts) == ["x", "y"]
+    texts = generate(MockBackend(fixtures), [GenerationRequest(prompt="p", n_samples=2)])
+    assert texts == [["x", "y"]]
 
 
 def test_mock_unknown_prompt_is_fixture_miss():
     backend = MockBackend({fixture_key("p", 0): "x"})
     with pytest.raises(FixtureMissError, match=prompt_hash("other")):
-        generate(backend, GenerationRequest(prompt="other"))
+        generate(backend, [GenerationRequest(prompt="other")])
 
 
 def test_mock_from_file_round_trip(tmp_path):
@@ -102,7 +108,7 @@ def test_mock_from_file_rejects_non_string_map(tmp_path):
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    script = []  # list of (status, payload_dict_or_text)
+    script = []  # list of (status, payload_dict_or_text[, extra headers])
     seen = []
 
     def do_POST(self):
@@ -111,11 +117,13 @@ class _StubHandler(BaseHTTPRequestHandler):
         type(self).seen.append(
             {"body": body, "authorization": self.headers.get("Authorization")}
         )
-        status, payload = (
+        status, payload, *headers = (
             type(self).script.pop(0) if type(self).script else (200, {"choices": []})
         )
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -145,8 +153,8 @@ def test_remote_reads_choices_in_order(stub_server):
     endpoint, handler = stub_server
     handler.script = [(200, _choices("first", "second"))]
     backend = RemoteBackend(endpoint, model_id="test-model", api_key="sk-test", backoff=0.0)
-    batch = generate(backend, GenerationRequest(prompt="p", n_samples=2, model_id="test-model"))
-    assert list(batch.texts) == ["first", "second"]
+    texts = generate(backend, [GenerationRequest(prompt="p", n_samples=2, model_id="test-model")])
+    assert texts == [["first", "second"]]
     request = handler.seen[0]
     assert request["body"] == {
         "model": "test-model",
@@ -184,6 +192,33 @@ def test_remote_exhausted_retries_raise(stub_server):
     assert excinfo.value.status == 503
 
 
+@pytest.mark.parametrize("status, retry_after, expected", [
+    (429, "2", 2.0),  # longer than the backoff: honoured
+    (503, "999", 5.0),  # capped at the timeout
+    (429, "0", 0.5),  # shorter than the backoff: the backoff wins
+    (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),  # date form: not honoured
+    (500, "2", 0.5),  # only 429 and 503 are read
+])
+def test_remote_retry_waits_for_retry_after(stub_server, monkeypatch, status, retry_after,
+                                            expected):
+    endpoint, handler = stub_server
+    handler.script = [(status, {}, {"Retry-After": retry_after}), (200, _choices("ok"))]
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    backend = RemoteBackend(endpoint, api_key="k", backoff=0.5, timeout=5.0)
+    assert backend.fetch("p", 1.0, [0]) == ["ok"]
+    assert sleeps == [expected]
+
+
+def test_remote_fetch_many_returns_each_job_in_order(stub_server):
+    endpoint, handler = stub_server
+    handler.script = [(200, _choices("a", "b")), (200, _choices("a", "b"))]
+    backend = RemoteBackend(endpoint, api_key="k", backoff=0.0)
+    assert backend.fetch_many([("p", 1.0, [0]), ("q", 1.0, [0, 1])]) == [["a"], ["a", "b"]]
+    assert sorted(req["body"]["n"] for req in handler.seen) == [1, 2]
+    assert backend.fetch_many([]) == []
+
+
 def test_remote_empty_completion_is_empty_string(stub_server):
     endpoint, handler = stub_server
     handler.script = [(200, {"choices": [{"message": {"content": None}}]})]
@@ -215,27 +250,27 @@ def test_cache_hit_skips_backend(tmp_path):
     cache = GenerationCache(tmp_path / "cache")
     backend = SpyBackend()
     req = GenerationRequest(prompt="p", n_samples=2, model_id="spy")
-    first = cached_generate(cache, backend, req)
-    second = cached_generate(cache, backend, req)
-    assert first.texts == second.texts
+    first = generate(backend, [req], cache)
+    second = generate(backend, [req], cache)
+    assert first == second
     assert backend.calls == [[0, 1]]  # second call never reached the backend
 
 
 def test_cache_distinguishes_temperature(tmp_path):
     cache = GenerationCache(tmp_path / "cache")
     backend = SpyBackend()
-    cached_generate(cache, backend, GenerationRequest(prompt="p", temperature=1.0, model_id="spy"))
-    cached_generate(cache, backend, GenerationRequest(prompt="p", temperature=0.5, model_id="spy"))
+    generate(backend, [GenerationRequest(prompt="p", temperature=1.0, model_id="spy")], cache)
+    generate(backend, [GenerationRequest(prompt="p", temperature=0.5, model_id="spy")], cache)
     assert backend.calls == [[0], [0]]
 
 
 def test_cache_fetches_only_new_ordinals(tmp_path):
     cache = GenerationCache(tmp_path / "cache")
     backend = SpyBackend()
-    cached_generate(cache, backend, GenerationRequest(prompt="p", n_samples=2, model_id="spy"))
-    batch = cached_generate(cache, backend, GenerationRequest(prompt="p", n_samples=3, model_id="spy"))
+    generate(backend, [GenerationRequest(prompt="p", n_samples=2, model_id="spy")], cache)
+    [texts] = generate(backend, [GenerationRequest(prompt="p", n_samples=3, model_id="spy")], cache)
     assert backend.calls == [[0, 1], [2]]
-    assert list(batch.texts) == [f"{prompt_hash('p')[:8]}/{i}" for i in range(3)]
+    assert texts == [f"{prompt_hash('p')[:8]}/{i}" for i in range(3)]
 
 
 def test_cache_survives_newlines_and_unicode(tmp_path):
@@ -249,16 +284,54 @@ def test_cache_corruption_refetches_with_warning(tmp_path, caplog):
     cache = GenerationCache(tmp_path / "cache")
     backend = SpyBackend()
     req = GenerationRequest(prompt="p", model_id="spy")
-    cached_generate(cache, backend, req)
+    generate(backend, [req], cache)
     fp = sample_fingerprint("spy", "p", 1.0, 0)
     entry = cache.root / fp
     entry.write_bytes(entry.read_bytes()[:-1] + b"?")
     with caplog.at_level("WARNING"):
-        cached_generate(cache, backend, req)
+        generate(backend, [req], cache)
     assert "integrity" in caplog.text
     assert backend.calls == [[0], [0]]
     # the refetched entry was rewritten and now verifies
     assert cache.get(fp) is not None
+
+
+def test_cache_put_survives_a_nested_put_of_the_same_fingerprint(tmp_path, monkeypatch):
+    cache = GenerationCache(tmp_path / "cache")
+    fp = "c" * 64
+    real_replace = os.replace
+    nested = []
+
+    def replace(src, dst):
+        if not nested:
+            nested.append(src)
+            cache.put(fp, "inner")  # a second writer of the fingerprint finishes first
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    cache.put(fp, "outer")
+    assert nested
+    assert cache.get(fp) == "outer"
+    assert [p.name for p in cache.root.iterdir()] == [fp]
+
+
+def test_generate_sends_every_miss_in_one_backend_call(tmp_path):
+    cache = GenerationCache(tmp_path / "cache")
+    backend = SpyBackend()
+    generate(backend, [GenerationRequest(prompt="a", n_samples=1, model_id="spy")], cache)
+    requests = [
+        GenerationRequest(prompt="a", n_samples=2, model_id="spy"),
+        GenerationRequest(prompt="b", n_samples=1, model_id="spy"),
+        GenerationRequest(prompt="a", n_samples=1, model_id="spy"),  # fully cached
+    ]
+    texts = generate(backend, requests, cache)
+    assert backend.batches == [1, 2]  # jobs per fetch_many call
+    assert backend.calls == [[0], [1], [0]]
+    assert texts == [
+        [f"{prompt_hash('a')[:8]}/0", f"{prompt_hash('a')[:8]}/1"],
+        [f"{prompt_hash('b')[:8]}/0"],
+        [f"{prompt_hash('a')[:8]}/0"],
+    ]
 
 
 def test_cache_stats_and_clear(tmp_path):
