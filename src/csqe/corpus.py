@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Union
 
 from .errors import DataFormatError
 from .stemmer import stem
@@ -64,21 +64,29 @@ def truncate_whitespace_tokens(text: str, max_tokens: int) -> str:
     return " ".join(text.split()[:max_tokens])
 
 
-def _iter_lines(stream: Union[IO, Iterable]) -> Iterable[str]:
-    for raw in stream:
-        yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
+def _iter_lines(stream: Union[IO, Iterable], kind: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, text)`` pairs; ``kind`` names the file in errors."""
+    for lineno, raw in enumerate(stream, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{kind} line {lineno}: not valid UTF-8") from exc
+        yield lineno, raw
 
 
 def parse_jsonl_corpus(stream: Union[IO, Iterable]) -> list[Document]:
     """Parse a JSONL corpus stream into documents, preserving input order.
 
     Raises:
-        DataFormatError: on malformed JSON, a missing/invalid field, or a
-            duplicate document id (the message carries the line number).
+        DataFormatError: on bytes that are not UTF-8, malformed JSON, a
+            missing/invalid field (including a lone surrogate escape, which
+            cannot be written back as UTF-8), or a duplicate document id
+            (the message carries the line number).
     """
     docs: list[Document] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(_iter_lines(stream), start=1):
+    for lineno, line in _iter_lines(stream, "corpus"):
         line = line.strip()
         if not line:
             continue
@@ -100,6 +108,13 @@ def parse_jsonl_corpus(stream: Union[IO, Iterable]) -> list[Document]:
         title = obj.get("title")
         if title is not None and not isinstance(title, str):
             raise DataFormatError(f"corpus line {lineno}: field 'title' must be a string")
+        for name, value in (("id", doc_id), ("title", title or ""), ("contents", contents)):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:  # a \ud800-style escape decodes to a lone surrogate
+                raise DataFormatError(
+                    f"corpus line {lineno}: field '{name}' is not valid UTF-8 ({exc.reason})"
+                ) from exc
         text = f"{title} {contents}" if title else contents
         docs.append(Document(id=doc_id, text=text))
     return docs
@@ -123,7 +138,7 @@ def parse_queries_tsv(stream: Union[IO, Iterable]) -> list[Query]:
     """
     queries: list[Query] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(_iter_lines(stream), start=1):
+    for lineno, line in _iter_lines(stream, "queries"):
         line = line.rstrip("\r\n")
         if not line.strip():
             continue

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 
+from .corpus import _iter_lines
 from .errors import DataFormatError
 
 log = logging.getLogger(__name__)
@@ -34,15 +35,10 @@ class Qrels:
         return self.judgments.get(query_id, {})
 
 
-def _iter_lines(stream: Union[IO, Iterable]) -> Iterable[str]:
-    for raw in stream:
-        yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
-
 def parse_qrels(stream: Union[IO, Iterable]) -> Qrels:
     """Parse ``qid 0 docid grade`` lines; later duplicates overwrite."""
     judgments: dict[str, dict[str, int]] = {}
-    for lineno, line in enumerate(_iter_lines(stream), start=1):
+    for lineno, line in _iter_lines(stream, "qrels"):
         parts = line.split()
         if not parts:
             continue
@@ -83,7 +79,7 @@ def parse_trec_run(stream: Union[IO, Iterable]) -> RunFile:
     """
     rankings: dict[str, list[tuple[str, float]]] = {}
     seen: dict[str, set] = {}
-    for lineno, line in enumerate(_iter_lines(stream), start=1):
+    for lineno, line in _iter_lines(stream, "run"):
         parts = line.split()
         if not parts:
             continue

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .corpus import Query, truncate_whitespace_tokens
 from .index import InvertedIndex, ScoredHit
-from .llm import LlmClient, prompt_hash
+from .llm import DEFAULT_TEMPERATURE, LlmClient, prompt_hash
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +31,6 @@ DEFAULT_DOC_TOKEN_BUDGET = 128
 DEFAULT_N_KEQE_ALONE = 5
 DEFAULT_N_KEQE = 2
 DEFAULT_N_CSQE = 2
-DEFAULT_TEMPERATURE = 1.0
 
 _EXTRACTION_INSTRUCTION = (
     "You will begin by examining the initially retrieved documents and identifying "

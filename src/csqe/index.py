@@ -4,6 +4,23 @@ Scoring uses idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)) and the usual
 tf saturation with length normalization; defaults k1=0.9, b=0.4. Result
 lists are ordered by score descending with ties broken by external doc id
 ascending, so rankings do not depend on corpus input order.
+
+On-disk layout (format version 2): the 8-byte magic ``CSQEIDX1``, the
+version as a little-endian u32, then one zlib stream. Decompressed, it holds
+a header ``<dd5Q`` (k1, b, and the byte size of each of the five sections
+that follow) and the sections in order:
+
+1. UTF-8 JSON ``[doc_ids, doc_texts, terms]`` with terms sorted;
+2. ``doc_lens``, one u32 per document;
+3. ``dfs``, one u32 per term: the length of its postings list;
+4. posting ordinals, u32, gap-coded within each term's list (the first
+   entry is the ordinal itself, each later one the distance to the one
+   before);
+5. posting tfs, u32, aligned with the ordinals.
+
+All u32 arrays are little-endian. ``load`` checks that the section sizes
+add up to the payload, that the array lengths agree and that every posting
+ordinal names a document, and raises ``DataFormatError`` otherwise.
 """
 
 import json
@@ -15,6 +32,7 @@ import zlib
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Document, tokenize
@@ -24,7 +42,8 @@ DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 
 _MAGIC = b"CSQEIDX1"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_HEADER = struct.Struct("<dd5Q")  # k1, b, byte size of each section
 
 
 @dataclass(frozen=True)
@@ -143,15 +162,22 @@ class InvertedIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        payload = {
-            "k1": self.k1,
-            "b": self.b,
-            "doc_ids": self.doc_ids,
-            "doc_lens": self.doc_lens,
-            "doc_texts": self.doc_texts,
-            "postings": {t: [[o, f] for o, f in pl] for t, pl in self.postings.items()},
-        }
-        blob = zlib.compress(json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8"))
+        terms = sorted(self.postings)
+        dfs, gaps, tfs = [], [], []
+        for term in terms:
+            plist = self.postings[term]
+            dfs.append(len(plist))
+            prev = 0
+            for ordinal, tf in plist:
+                gaps.append(ordinal - prev)
+                tfs.append(tf)
+                prev = ordinal
+        strings = json.dumps([self.doc_ids, self.doc_texts, terms],
+                             ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        sections = [strings] + [struct.pack(f"<{len(values)}I", *values)
+                                for values in (self.doc_lens, dfs, gaps, tfs)]
+        blob = zlib.compress(_HEADER.pack(self.k1, self.b, *map(len, sections))
+                             + b"".join(sections))
         # unique per call: concurrent or nested saves to one path never share it
         tmp = f"{path}.tmp.{uuid.uuid4().hex}"
         with open(tmp, "xb") as fh:
@@ -170,18 +196,47 @@ class InvertedIndex:
             if version != _FORMAT_VERSION:
                 raise DataFormatError(f"{path}: unsupported index format version {version}")
             try:
-                payload = json.loads(zlib.decompress(fh.read()).decode("utf-8"))
-            except (zlib.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
+                payload = zlib.decompress(fh.read())
+            except zlib.error as exc:
                 raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
-        postings = {t: [(o, f) for o, f in pl] for t, pl in payload["postings"].items()}
-        return cls(
-            postings=postings,
-            doc_ids=payload["doc_ids"],
-            doc_lens=payload["doc_lens"],
-            doc_texts=payload["doc_texts"],
-            k1=payload["k1"],
-            b=payload["b"],
-        )
+        if len(payload) < _HEADER.size:
+            raise DataFormatError(f"{path}: corrupt index payload (truncated header)")
+        k1, b, *sizes = _HEADER.unpack_from(payload)
+        if _HEADER.size + sum(sizes) != len(payload):
+            raise DataFormatError(
+                f"{path}: corrupt index payload (section sizes {sizes} do not sum to "
+                f"{len(payload) - _HEADER.size} bytes)"
+            )
+        offsets = list(accumulate(sizes, initial=_HEADER.size))
+        try:
+            strings = json.loads(payload[offsets[0]:offsets[1]])
+            if not (isinstance(strings, list) and len(strings) == 3 and all(
+                    isinstance(part, list) and all(isinstance(s, str) for s in part)
+                    for part in strings)):
+                raise ValueError("strings section is not three lists of strings")
+            doc_ids, doc_texts, terms = strings
+            doc_lens, dfs, gaps, tfs = (_unpack_u32(payload, offset, size)
+                                        for offset, size in zip(offsets[1:], sizes[1:]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
+        if not (len(doc_ids) == len(doc_texts) == len(doc_lens) and len(terms) == len(dfs)
+                and sum(dfs) == len(gaps) == len(tfs)):
+            raise DataFormatError(f"{path}: corrupt index payload (section lengths disagree)")
+        postings = {}
+        start = 0
+        for term, df in zip(terms, dfs):
+            end = start + df
+            postings[term] = list(zip(accumulate(gaps[start:end]), tfs[start:end]))
+            start = end
+        if any(plist and plist[-1][0] >= len(doc_ids) for plist in postings.values()):
+            raise DataFormatError(f"{path}: corrupt index payload (posting ordinal out of range)")
+        return cls(postings, doc_ids, list(doc_lens), doc_texts, k1=k1, b=b)
+
+
+def _unpack_u32(payload: bytes, offset: int, size: int) -> tuple[int, ...]:
+    if size % 4:
+        raise ValueError(f"u32 section of {size} bytes")
+    return struct.unpack_from(f"<{size // 4}I", payload, offset)
 
 
 def build_index(

@@ -2,7 +2,10 @@
 
 Two backends share one interface: ``fetch(prompt, temperature, ordinals)``
 returns one text per ordinal, and ``fetch_many(jobs)`` takes a list of such
-``(prompt, temperature, ordinals)`` jobs and returns their texts in job order.
+``(prompt, temperature, ordinals)`` jobs and returns each job's outcome in
+job order: its texts, or the exception its fetch raised. ``generate`` stores
+every job that succeeded before it raises the first failure, so a failed
+job never costs the samples fetched beside it.
 
 * ``RemoteBackend`` posts a chat-completion request
   ``{model, messages:[{role:"user",content:prompt}], temperature, n}`` and
@@ -114,9 +117,18 @@ class MockBackend:
             out.append(self.fixtures[key])
         return out
 
-    def fetch_many(self, jobs: Sequence[tuple]) -> list[list[str]]:
-        """Fetch each ``(prompt, temperature, ordinals)`` job in turn."""
-        return [self.fetch(*job) for job in jobs]
+    def fetch_many(self, jobs: Sequence[tuple]) -> list:
+        """Fetch each ``(prompt, temperature, ordinals)`` job in turn.
+
+        Each job's outcome is its texts or the exception its fetch raised.
+        """
+        outcomes: list = []
+        for job in jobs:
+            try:
+                outcomes.append(self.fetch(*job))
+            except BackendError as exc:  # reported per job, raised by generate
+                outcomes.append(exc)
+        return outcomes
 
 
 class RemoteBackend:
@@ -152,37 +164,32 @@ class RemoteBackend:
             return [self._request(prompt, temperature, 1)[0] for _ in ordinals]
         return self._request(prompt, temperature, len(ordinals))
 
-    def fetch_many(self, jobs: Sequence[tuple]) -> list[list[str]]:
+    def fetch_many(self, jobs: Sequence[tuple]) -> list:
         """Fetch each ``(prompt, temperature, ordinals)`` job, all at once.
 
         The first job runs on the calling thread and every other job on a
         short-lived thread of its own. All of them are joined before this
-        returns or raises; the first failure in job order is raised.
+        returns; each job's outcome is its texts or the exception it raised.
         """
-        if not jobs:
-            return []
-        results: list = [None] * len(jobs)
-        errors: list = [None] * len(jobs)
+        outcomes: list = [None] * len(jobs)
 
         def run(i: int) -> None:
             try:
-                results[i] = self.fetch(*jobs[i])
-            except BaseException as exc:  # re-raised on the calling thread below
-                errors[i] = exc
+                outcomes[i] = self.fetch(*jobs[i])
+            except BaseException as exc:  # reported per job, raised by generate
+                outcomes[i] = exc
 
         workers = [threading.Thread(target=run, args=(i,), daemon=True)
                    for i in range(1, len(jobs))]
         for worker in workers:
             worker.start()
         try:
-            results[0] = self.fetch(*jobs[0])
+            if jobs:
+                run(0)
         finally:
             for worker in workers:
                 worker.join()
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return results
+        return outcomes
 
     def _retry_after(self, resp: requests.Response) -> float:
         """Seconds a 429 or 503 reply asks to wait: integer form only, capped at the timeout."""
@@ -302,7 +309,9 @@ def generate(backend, requests: Sequence[GenerationRequest],
     With a cache, samples are looked up by fingerprint and only the missing
     ordinals reach the backend. Every miss of every request goes to the
     backend in one ``fetch_many`` call, so a backend that overlaps its jobs
-    waits once per call. Lookups and stores run on the calling thread.
+    waits once per call. Lookups and stores run on the calling thread. When
+    a job fails, the jobs that succeeded are still stored, and then the
+    first failure in job order is raised.
     """
     texts: list[list[Optional[str]]] = []
     jobs = []
@@ -322,16 +331,22 @@ def generate(backend, requests: Sequence[GenerationRequest],
         if missing:
             jobs.append((req.prompt, req.temperature, missing))
             pending.append((slot, fingerprints, missing))
-    if jobs:
-        for (slot, fingerprints, missing), fetched in zip(pending, backend.fetch_many(jobs)):
-            if len(fetched) != len(missing):
-                raise BackendError(
-                    f"backend produced {len(fetched)} samples, expected {len(missing)}"
-                )
+    outcomes = backend.fetch_many(jobs) if jobs else []
+    failure = None
+    for (slot, fingerprints, missing), fetched in zip(pending, outcomes):
+        if isinstance(fetched, BaseException):
+            failure = failure or fetched
+        elif len(fetched) != len(missing):
+            failure = failure or BackendError(
+                f"backend produced {len(fetched)} samples, expected {len(missing)}"
+            )
+        else:
             for ordinal, text in zip(missing, fetched):
                 if cache is not None:
                     cache.put(fingerprints[ordinal], text)
                 slot[ordinal] = text
+    if failure is not None:
+        raise failure
     return texts
 
 

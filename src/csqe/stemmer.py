@@ -7,9 +7,14 @@ two revisions carried by the maintained reference implementations:
 * step 2 gains ``logi -> log``, with the leading ``l`` counted as part of
   the stem for the measure test (so geo-/bio- stems behave like philo-).
 
-Words of length <= 2 are returned unchanged.
+Words of length <= 2 are returned unchanged. ``stem`` is memoized per
+distinct word in a bounded LRU cache, since a corpus repeats a small
+vocabulary many times over.
 """
 
+from functools import lru_cache
+
+_CACHE_SIZE = 1 << 16
 _VOWELS = frozenset("aeiou")
 
 
@@ -198,6 +203,7 @@ def _step5(w: str) -> str:
     return w
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def stem(word: str) -> str:
     """Stem a single lowercase word."""
     if len(word) <= 2:

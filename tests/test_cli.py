@@ -103,6 +103,26 @@ def test_eval_bad_metric_is_usage_error(toy_index, tmp_path):
     assert rc == 1
 
 
+def test_index_of_the_toy_corpus_is_byte_identical_across_runs(tmp_path):
+    paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+    for path in paths:
+        assert main(["index", "--input", str(TOY_DIR / "corpus.jsonl"), "--output", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("line, message", [
+    (b'{"id":"a","contents":"bad \\ud800 text"}', "corpus line 2: field 'contents'"),
+    (b'{"id":"a","contents":"caf\xe9"}', "corpus line 2: not valid UTF-8"),
+])
+def test_index_rejects_a_corpus_that_is_not_utf8_as_data_error(tmp_path, capsys, line, message):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b'{"id":"ok","contents":"fine"}\n' + line + b"\n")
+    output = tmp_path / "index.bin"
+    assert main(["index", "--input", str(corpus), "--output", str(output)]) == 2
+    assert message in capsys.readouterr().err
+    assert not output.exists()
+
+
 # -- search subcommand --------------------------------------------------------------
 
 

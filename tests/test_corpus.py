@@ -1,9 +1,12 @@
 import io
+import sys
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from csqe.corpus import (
+    _TOKEN_RE,
     Document,
     STOPWORDS,
     parse_jsonl_corpus,
@@ -77,6 +80,48 @@ def test_tokenize_output_shape(text):
         assert token == token.lower()
 
 
+def _tokenize_uncached(text):
+    return [stem.__wrapped__(t) for t in _TOKEN_RE.findall(text.lower()) if t not in STOPWORDS]
+
+
+_words_and_text = st.lists(
+    st.one_of(st.sampled_from(["running", "runs", "ponies", "relational", "The", "sky"]),
+              st.text(max_size=12)),
+    max_size=20,
+).map(" ".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_words_and_text, min_size=1, max_size=6))
+def test_memoized_tokenize_matches_uncached_stemming_from_four_threads(texts):
+    expected = [_tokenize_uncached(t) for t in texts]
+    stem.cache_clear()  # the threads race to fill the cache
+    barrier = threading.Barrier(4, timeout=5)
+    results = [None] * 4
+
+    def work(i):
+        barrier.wait()
+        results[i] = [tokenize(t) for t in texts]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
+    assert [tokenize(t) for t in texts] == expected
+
+
+def test_stem_cache_is_bounded():
+    assert stem.cache_info().maxsize == 1 << 16
+
+
 # -- truncate_whitespace_tokens ----------------------------------------------
 
 
@@ -133,6 +178,28 @@ def test_parse_corpus_bad_json_reports_line():
 def test_parse_corpus_missing_contents():
     with pytest.raises(DataFormatError, match="contents"):
         parse_jsonl_corpus(_bytes_stream('{"id":"d1"}\n'))
+
+
+@pytest.mark.parametrize("line", [
+    '{"id":"a","contents":"bad \\ud800 text"}',
+    '{"id":"a\\udfff","contents":"x"}',
+    '{"id":"a","title":"\\udc00","contents":"x"}',
+])
+def test_parse_corpus_rejects_lone_surrogates_with_line(line):
+    stream = _bytes_stream('{"id":"ok","contents":"fine"}\n' + line + "\n")
+    with pytest.raises(DataFormatError, match="corpus line 2: field '.*' is not valid UTF-8"):
+        parse_jsonl_corpus(stream)
+
+
+def test_parse_corpus_accepts_an_escaped_surrogate_pair():
+    docs = parse_jsonl_corpus(_bytes_stream('{"id":"a","contents":"\\ud83d\\ude00"}\n'))
+    assert docs == [Document("a", "\U0001f600")]
+
+
+def test_parse_corpus_rejects_bytes_that_are_not_utf8():
+    stream = io.BytesIO(b'{"id":"a","contents":"x"}\n{"id":"b","contents":"caf\xe9"}\n')
+    with pytest.raises(DataFormatError, match="corpus line 2: not valid UTF-8"):
+        parse_jsonl_corpus(stream)
 
 
 def test_parse_corpus_accepts_text_stream():

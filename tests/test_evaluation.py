@@ -40,6 +40,15 @@ def test_parse_qrels_duplicates_overwrite():
     assert qrels.grade("q1", "d1") == 1
 
 
+@pytest.mark.parametrize("parse, kind, good", [
+    (parse_qrels, "qrels", b"q1 0 d1 1\n"),
+    (parse_trec_run, "run", b"q1 Q0 d1 1 1.0 t\n"),
+])
+def test_parsers_reject_bytes_that_are_not_utf8_with_line(parse, kind, good):
+    with pytest.raises(DataFormatError, match=f"{kind} line 2: not valid UTF-8"):
+        parse(io.BytesIO(good + b"q2 0 caf\xe9 1\n"))
+
+
 def test_parse_qrels_bad_grade_reports_line():
     with pytest.raises(DataFormatError, match="line 1"):
         parse_qrels(_stream("q1 0 d1 x\n"))

@@ -1,10 +1,14 @@
+import json
 import math
 import os
 import random
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csqe.cli import main
 from csqe.corpus import Document
 from csqe.errors import DataFormatError
 from csqe.index import InvertedIndex, ScoredHit, WeightedQuery, build_index
@@ -268,3 +272,129 @@ def test_load_rejects_truncated_payload(tmp_path, shark_docs):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(DataFormatError):
         InvertedIndex.load(str(path))
+    assert main(["search", "--index", str(path), "--query", "shark"]) == 2
+
+
+# the documented on-disk layout, restated here so the tests pin it
+MAGIC = b"CSQEIDX1"
+HEADER = struct.Struct("<dd5Q")  # k1, b, byte size of each of the five sections
+
+
+def _payload(path):
+    return zlib.decompress(path.read_bytes()[len(MAGIC) + 4:])
+
+
+def _write_payload(path, payload):
+    path.write_bytes(MAGIC + struct.pack("<I", 2) + zlib.compress(payload))
+
+
+def _split(payload):
+    k1, b, *sizes = HEADER.unpack_from(payload)
+    sections, offset = [], HEADER.size
+    for size in sizes:
+        sections.append(payload[offset:offset + size])
+        offset += size
+    return k1, b, sections
+
+
+def _u32s(raw):
+    return list(struct.unpack(f"<{len(raw) // 4}I", raw))
+
+
+def test_saved_file_has_the_documented_v2_layout(tmp_path):
+    docs = [Document("d1", "cold"), Document("d2", "shark"), Document("d3", "shark warm shark"),
+            Document("d4", "shark")]
+    path = tmp_path / "toy.bin"
+    build_index(docs, k1=1.5, b=0.25).save(str(path))
+    assert path.read_bytes()[:12] == MAGIC + struct.pack("<I", 2)
+    payload = _payload(path)
+    k1, b, sections = _split(payload)
+    assert (k1, b) == (1.5, 0.25)
+    assert HEADER.size + sum(map(len, sections)) == len(payload)
+    assert json.loads(sections[0]) == [
+        ["d1", "d2", "d3", "d4"], [d.text for d in docs], ["cold", "shark", "warm"]
+    ]
+    assert _u32s(sections[1]) == [1, 1, 3, 1]  # doc_lens
+    assert _u32s(sections[2]) == [1, 3, 1]  # dfs of cold, shark, warm
+    # ordinals: cold 0; shark 1, 2, 3; warm 2 -- each list gap-coded on its own
+    assert _u32s(sections[3]) == [0, 1, 1, 1, 2]
+    assert _u32s(sections[4]) == [1, 1, 2, 1, 1]  # tfs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    texts=st.lists(st.text(max_size=40), min_size=1, max_size=12),
+    k1=st.floats(min_value=0.0, max_value=3.0),
+    b=st.floats(min_value=0.0, max_value=1.0),
+    query=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4),
+)
+def test_save_load_round_trips_exactly(tmp_path_factory, texts, k1, b, query):
+    docs = [Document(f"d{i}\u00e9", text) for i, text in enumerate(texts)]
+    docs.append(Document("tokens", " ".join(TOKENS + query)))
+    index = build_index(docs, k1=k1, b=b)
+    path = tmp_path_factory.mktemp("idx") / "index.bin"
+    index.save(str(path))
+    loaded = InvertedIndex.load(str(path))
+    assert loaded.postings == index.postings
+    assert all(type(p) is tuple for pl in loaded.postings.values() for p in pl)
+    assert (loaded.doc_ids, loaded.doc_lens, loaded.doc_texts) == (
+        index.doc_ids, index.doc_lens, index.doc_texts
+    )
+    assert (loaded.k1, loaded.b) == (index.k1, index.b)
+    for text in [" ".join(query)] + texts[:3]:
+        assert loaded.search(text, 10) == index.search(text, 10)
+
+
+def _v1_file(path, payload):
+    body = json.dumps({"k1": 0.9, "b": 0.4, "doc_ids": [], "doc_lens": [],
+                       "doc_texts": [], "postings": {}}).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + zlib.compress(body))
+
+
+def _sizes_off_by_one(path, payload):
+    k1, b, sections = _split(payload)
+    sizes = [len(s) for s in sections]
+    sizes[1] += 1
+    _write_payload(path, HEADER.pack(k1, b, *sizes) + b"".join(sections))
+
+
+def _edit_section(i, edit):
+    def corrupt(path, payload):
+        k1, b, sections = _split(payload)
+        sections[i] = edit(sections[i])
+        _write_payload(path, HEADER.pack(k1, b, *map(len, sections)) + b"".join(sections))
+    return corrupt
+
+
+def _bump(position, by):
+    def edit(raw):
+        values = _u32s(raw)
+        values[position] += by
+        return struct.pack(f"<{len(values)}I", *values)
+    return edit
+
+
+def _header_only_part(path, payload):
+    _write_payload(path, payload[: HEADER.size - 1])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_v1_file, "unsupported index format version 1"),
+    (_sizes_off_by_one, "do not sum"),
+    # same byte size, but sum(dfs) != number of postings
+    (_edit_section(2, _bump(0, 1)), "section lengths disagree"),
+    # the last posting now points past the last document
+    (_edit_section(3, _bump(-1, 3)), "ordinal out of range"),
+    (_edit_section(0, lambda raw: b"[[not json"), "corrupt index payload"),
+    (_header_only_part, "truncated header"),
+], ids=["v1", "sizes", "dfs", "ordinal", "strings", "header"])
+def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys,
+                                                   corrupt, message):
+    path = tmp_path / "toy.bin"
+    shark_index.save(str(path))
+    corrupt(path, _payload(path))
+    with pytest.raises(DataFormatError, match=message):
+        InvertedIndex.load(str(path))
+    assert main(["search", "--index", str(path), "--query", "shark"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err

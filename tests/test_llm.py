@@ -109,6 +109,7 @@ def test_mock_from_file_rejects_non_string_map(tmp_path):
 
 class _StubHandler(BaseHTTPRequestHandler):
     script = []  # list of (status, payload_dict_or_text[, extra headers])
+    by_prompt = {}  # prompt -> (status, payload): replies that ignore the script
     seen = []
 
     def do_POST(self):
@@ -117,9 +118,13 @@ class _StubHandler(BaseHTTPRequestHandler):
         type(self).seen.append(
             {"body": body, "authorization": self.headers.get("Authorization")}
         )
-        status, payload, *headers = (
-            type(self).script.pop(0) if type(self).script else (200, {"choices": []})
-        )
+        prompt = body["messages"][0]["content"]
+        if prompt in type(self).by_prompt:
+            status, payload, *headers = type(self).by_prompt[prompt]
+        else:
+            status, payload, *headers = (
+                type(self).script.pop(0) if type(self).script else (200, {"choices": []})
+            )
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         for name, value in (headers[0] if headers else {}).items():
@@ -136,6 +141,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server():
     _StubHandler.script = []
+    _StubHandler.by_prompt = {}
     _StubHandler.seen = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -217,6 +223,34 @@ def test_remote_fetch_many_returns_each_job_in_order(stub_server):
     assert backend.fetch_many([("p", 1.0, [0]), ("q", 1.0, [0, 1])]) == [["a"], ["a", "b"]]
     assert sorted(req["body"]["n"] for req in handler.seen) == [1, 2]
     assert backend.fetch_many([]) == []
+
+
+@pytest.mark.parametrize("keqe_first", [False, True])
+def test_cache_keeps_the_jobs_that_succeeded_when_another_fails(stub_server, tmp_path,
+                                                                keqe_first):
+    endpoint, handler = stub_server
+    csqe, keqe = "extract the key sentences", "write a passage"
+    order = [(keqe, 2), (csqe, 2)] if keqe_first else [(csqe, 2), (keqe, 2)]
+    handler.by_prompt = {csqe: (200, _choices("e0", "e1")), keqe: (400, {"error": "refused"})}
+    cache = GenerationCache(tmp_path / "cache")
+    client = LlmClient(RemoteBackend(endpoint, model_id="m", backoff=0.0), cache=cache)
+    with pytest.raises(BackendError, match="HTTP 400"):
+        client.sample_many(order)
+    assert [cache.get(sample_fingerprint("m", csqe, 1.0, i)) for i in range(2)] == ["e0", "e1"]
+    assert cache.stats()["entries"] == 2
+    handler.by_prompt[keqe] = (200, _choices("k0", "k1"))
+    handler.seen.clear()
+    texts = client.sample_many(order)
+    assert dict(zip([p for p, _ in order], texts)) == {csqe: ["e0", "e1"], keqe: ["k0", "k1"]}
+    assert [r["body"]["messages"][0]["content"] for r in handler.seen] == [keqe]
+
+
+def test_fetch_many_reports_a_failed_job_in_its_slot():
+    prompt = "known"
+    backend = MockBackend({fixture_key(prompt, 0): "x"})
+    outcomes = backend.fetch_many([("unknown", 1.0, [0]), (prompt, 1.0, [0])])
+    assert isinstance(outcomes[0], FixtureMissError)
+    assert outcomes[1] == ["x"]
 
 
 def test_remote_empty_completion_is_empty_string(stub_server):
