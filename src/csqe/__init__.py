@@ -26,14 +26,12 @@ from .evaluation import (
     write_trec_run,
 )
 from .expansion import (
-    ExpandedQuery,
     ExtractionResult,
     PipelineConfig,
     build_csqe_prompt,
     build_keqe_prompt,
     compose_expanded_query,
     csqe_pipeline,
-    keqe_pipeline,
     parse_csqe_response,
     verify_extraction,
 )
@@ -50,46 +48,3 @@ from .llm import (
 from .prf import Rm3Config, rm3_expand, rm3_search
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Document",
-    "Query",
-    "parse_jsonl_corpus",
-    "parse_queries_tsv",
-    "tokenize",
-    "truncate_whitespace_tokens",
-    "InvertedIndex",
-    "ScoredHit",
-    "WeightedQuery",
-    "build_index",
-    "Rm3Config",
-    "rm3_expand",
-    "rm3_search",
-    "GenerationRequest",
-    "GenerationCache",
-    "LlmClient",
-    "MockBackend",
-    "RemoteBackend",
-    "generate",
-    "prompt_hash",
-    "ExpandedQuery",
-    "ExtractionResult",
-    "PipelineConfig",
-    "build_keqe_prompt",
-    "build_csqe_prompt",
-    "parse_csqe_response",
-    "verify_extraction",
-    "compose_expanded_query",
-    "keqe_pipeline",
-    "csqe_pipeline",
-    "Qrels",
-    "RunFile",
-    "MetricReport",
-    "parse_qrels",
-    "parse_trec_run",
-    "write_trec_run",
-    "ndcg_at_k",
-    "average_precision",
-    "recall_at_k",
-    "evaluate_run",
-]

@@ -219,18 +219,50 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _run_one_query(method, query, index, client, cfg, rm3_cfg, topk, dump):
+def _query_runner(method: str, config: dict, index: InvertedIndex, dump):
+    """Validate ``method``'s settings; return its query runner and LLM client.
+
+    The runner maps a ``Query`` to its ranked hits. The client is None for
+    the methods that need no LLM. KEQE is the CSQE pipeline without the
+    extraction step (``n_csqe=0``).
+    """
+    topk = config["topk"]
     if method == "bm25":
-        return index.search(query.text, topk)
+        return (lambda query: index.search(query.text, topk)), None
     if method == "rm3":
         try:
-            return prf.rm3_search(index, query.text, rm3_cfg, topk)
-        except ValueError:
-            log.warning("query %s has no indexable terms; empty result", query.id)
-            return []
-    if method == "keqe":
-        return expansion.keqe_pipeline(query, index, client, cfg, top_k=topk, dump=dump)
-    return expansion.csqe_pipeline(query, index, client, cfg, top_k=topk, dump=dump)
+            rm3_cfg = prf.Rm3Config(
+                fb_docs=config["fb_docs"],
+                fb_terms=config["fb_terms"],
+                original_weight=config["orig_weight"],
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc))
+
+        def rm3(query):
+            try:
+                return prf.rm3_search(index, query.text, rm3_cfg, topk)
+            except ValueError:
+                log.warning("query %s has no indexable terms; empty result", query.id)
+                return []
+        return rm3, None
+
+    client = _build_llm_client(config)
+    n_csqe = 0 if method == "keqe" else config["n_csqe"]
+    if method == "csqe" and n_csqe < 1:
+        raise UsageError("--n-csqe must be >= 1 for csqe")
+    try:
+        cfg = expansion.PipelineConfig(
+            k_feedback=config["k_feedback"],
+            doc_token_budget=config["doc_tokens"],
+            n_keqe=config["n_keqe"],
+            n_csqe=n_csqe,
+            temperature=config["temperature"],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return (lambda query: expansion.csqe_pipeline(query, index, client, cfg,
+                                                  top_k=topk, dump=dump)), client
 
 
 def cmd_run(args) -> int:
@@ -238,33 +270,12 @@ def cmd_run(args) -> int:
     with open(args.queries, "rb") as fh:
         queries = parse_queries_tsv(fh)
     index = InvertedIndex.load(args.index)
-
-    needs_llm = args.method in ("keqe", "csqe")
-    client = _build_llm_client(config) if needs_llm else None
-    cfg = rm3_cfg = None
-    try:
-        if needs_llm:
-            cfg = expansion.PipelineConfig(
-                k_feedback=config["k_feedback"],
-                doc_token_budget=config["doc_tokens"],
-                n_keqe=config["n_keqe"],
-                n_csqe=config["n_csqe"],
-                temperature=config["temperature"],
-            )
-        elif args.method == "rm3":
-            rm3_cfg = prf.Rm3Config(
-                fb_docs=config["fb_docs"],
-                fb_terms=config["fb_terms"],
-                original_weight=config["orig_weight"],
-            )
-    except ValueError as exc:
-        raise UsageError(str(exc))
     dump = expansion.PromptDump(args.dump_prompts) if args.dump_prompts else None
+    run_one, client = _query_runner(args.method, config, index, dump)
 
     def run_query(query):
         log.info("query %s: %s", query.id, query.text)
-        return _run_one_query(args.method, query, index, client, cfg, rm3_cfg,
-                              config["topk"], dump)
+        return run_one(query)
 
     if config["jobs"] > 1:
         with ThreadPoolExecutor(max_workers=config["jobs"]) as pool:
@@ -285,7 +296,7 @@ def cmd_run(args) -> int:
     input_paths = [args.queries, args.index]
     inputs = {"queries_sha256": _file_digest(args.queries), "index_sha256": _file_digest(args.index)}
     backend_identity = {"kind": None, "model": config["model"]}
-    if needs_llm:
+    if client is not None:
         backend_identity["kind"] = config["backend"]
         if config["backend"] == "mock":
             inputs["fixtures_sha256"] = _file_digest(config["mock_fixtures"])

@@ -120,15 +120,6 @@ def parse_jsonl_corpus(stream: Union[IO, Iterable]) -> list[Document]:
     return docs
 
 
-def write_jsonl_corpus(docs: Iterable[Document]) -> str:
-    """Serialize documents back to the corpus JSONL format."""
-    lines = [
-        json.dumps({"id": d.id, "contents": d.text}, ensure_ascii=False)
-        for d in docs
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def parse_queries_tsv(stream: Union[IO, Iterable]) -> list[Query]:
     """Parse ``qid<TAB>text`` lines into queries.
 

@@ -1,22 +1,25 @@
 """Query expansion with LLM generations.
 
-Two expansion styles share the final retrieval step:
+One pipeline serves both expansion styles:
 
-* KEQE asks the model to write a hypothetical passage answering the query
+* KEQE asks the model to write hypothetical passages answering the query
   and appends the passages to the query.
-* CSQE shows the model the first-pass retrieved documents inside a one-shot
-  prompt, asks it to pick the relevant ones and extract their key sentences,
-  and appends those corpus-originated sentences (plus KEQE passages).
+* CSQE is KEQE plus an extraction step: it shows the model the first-pass
+  retrieved documents inside a one-shot prompt, asks it to pick the relevant
+  ones and extract their key sentences, and appends those corpus-originated
+  sentences before the KEQE passages.
 
-The composed query repeats the original query once per expansion so the
-original terms keep their weight under bag-of-words BM25 scoring.
+``csqe_pipeline`` with ``n_csqe=0`` is KEQE: no first pass and no
+extraction prompt. The composed query repeats the original query once per
+expansion so the original terms keep their weight under bag-of-words BM25
+scoring.
 """
 
 import json
 import logging
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -228,14 +231,7 @@ def verify_extraction(sentences: Sequence[str], docs: Sequence[str]) -> float:
     return found / len(sentences)
 
 
-@dataclass(frozen=True)
-class ExpandedQuery:
-    original: str
-    expansions: tuple[str, ...]
-    composed: str
-
-
-def compose_expanded_query(query_text: str, expansions: Sequence[str]) -> ExpandedQuery:
+def compose_expanded_query(query_text: str, expansions: Sequence[str]) -> str:
     """Repeat the query once per expansion, then append every expansion.
 
     All parts are joined with single spaces; with no expansions the composed
@@ -243,11 +239,9 @@ def compose_expanded_query(query_text: str, expansions: Sequence[str]) -> Expand
     """
     if not query_text:
         raise ValueError("query text must be non-empty")
-    expansions = tuple(expansions)
     if not expansions:
-        return ExpandedQuery(query_text, (), query_text)
-    composed = " ".join([query_text] * len(expansions) + list(expansions))
-    return ExpandedQuery(query_text, expansions, composed)
+        return query_text
+    return " ".join([query_text] * len(expansions) + list(expansions))
 
 
 @dataclass(frozen=True)
@@ -322,26 +316,6 @@ class PromptDump:
         (self.root / "prompts.json").write_text(payload, encoding="utf-8")
 
 
-def keqe_pipeline(
-    query: Query,
-    index: InvertedIndex,
-    llm: LlmClient,
-    cfg: PipelineConfig,
-    top_k: int = 1000,
-    dump: Optional[PromptDump] = None,
-) -> list[ScoredHit]:
-    """Expand with hypothetical passages only, then retrieve."""
-    if cfg.n_keqe < 1:
-        raise ValueError("keqe pipeline needs n_keqe >= 1")
-    prompt = build_keqe_prompt(query.text)
-    texts = llm.sample(prompt, cfg.n_keqe, temperature=cfg.temperature)
-    if dump:
-        dump.record(query.id, "keqe", prompt, texts)
-    passages = [t for t in texts if t.strip()]
-    expanded = compose_expanded_query(query.text, passages)
-    return index.search(expanded.composed, top_k)
-
-
 def csqe_pipeline(
     query: Query,
     index: InvertedIndex,
@@ -350,27 +324,30 @@ def csqe_pipeline(
     top_k: int = 1000,
     dump: Optional[PromptDump] = None,
 ) -> list[ScoredHit]:
-    """Corpus-steered expansion: extraction sentences plus KEQE passages.
+    """Expand with extraction sentences plus KEQE passages, then retrieve.
 
-    One first pass feeds every extraction sample. The extraction and KEQE
-    requests do not depend on each other, so both go to the LLM in one call.
-    When the first pass is empty the corpus-originated step is skipped; with
-    no expansions at all the retrieval degrades to plain BM25.
+    With ``cfg.n_csqe == 0`` this is KEQE: the first pass and the extraction
+    prompt are skipped. Otherwise one first pass feeds every extraction
+    sample. The extraction and KEQE requests do not depend on each other, so
+    both go to the LLM in one call. When the first pass is empty the
+    corpus-originated step is skipped; with no expansions at all the
+    retrieval degrades to plain BM25.
     """
-    if cfg.n_csqe < 1:
-        raise ValueError("csqe pipeline needs n_csqe >= 1")
-    first_pass = index.search(query.text, cfg.k_feedback)
+    first_pass: list[ScoredHit] = []
     generations = []  # (kind, prompt, n)
-    if first_pass:
-        docs = [
-            truncate_whitespace_tokens(
-                index.doc_texts[index.ordinal(hit.doc_id)], cfg.doc_token_budget
-            )
-            for hit in first_pass
-        ]
-        generations.append(("csqe", build_csqe_prompt(query.text, docs), cfg.n_csqe))
-    else:
-        log.warning("query %s: empty first pass, skipping corpus-originated expansion", query.id)
+    if cfg.n_csqe > 0:
+        first_pass = index.search(query.text, cfg.k_feedback)
+        if first_pass:
+            docs = [
+                truncate_whitespace_tokens(
+                    index.doc_texts[index.ordinal(hit.doc_id)], cfg.doc_token_budget
+                )
+                for hit in first_pass
+            ]
+            generations.append(("csqe", build_csqe_prompt(query.text, docs), cfg.n_csqe))
+        else:
+            log.warning("query %s: empty first pass, skipping corpus-originated expansion",
+                        query.id)
     if cfg.n_keqe > 0:
         generations.append(("keqe", build_keqe_prompt(query.text), cfg.n_keqe))
     samples = llm.sample_many([(prompt, n) for _, prompt, n in generations],
@@ -390,5 +367,4 @@ def csqe_pipeline(
                     if sentence not in seen:
                         seen.add(sentence)
                         sentences.append(sentence)
-    expanded = compose_expanded_query(query.text, sentences + passages)
-    return index.search(expanded.composed, top_k)
+    return index.search(compose_expanded_query(query.text, sentences + passages), top_k)

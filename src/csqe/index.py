@@ -29,7 +29,6 @@ import os
 import struct
 import uuid
 import zlib
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -104,24 +103,7 @@ class InvertedIndex:
     def ordinal(self, doc_id: str) -> int:
         return self._ordinals[doc_id]
 
-    def term_frequency(self, term: str, ordinal: int) -> int:
-        plist = self.postings.get(term)
-        if not plist:
-            return 0
-        pos = bisect_left(plist, (ordinal,))
-        if pos < len(plist) and plist[pos][0] == ordinal:
-            return plist[pos][1]
-        return 0
-
     # -- scoring ------------------------------------------------------------
-
-    def bm25_term_score(self, term: str, ordinal: int) -> float:
-        """BM25 contribution of one term for one document (0 if absent)."""
-        tf = self.term_frequency(term, ordinal)
-        if tf == 0:
-            return 0.0
-        norm = 1.0 - self.b + self.b * self.doc_lens[ordinal] / self.avg_doc_len
-        return self.idf(term) * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
 
     def _rank(self, term_weights: Mapping[str, float], k: int) -> list[ScoredHit]:
         scores: dict[int, float] = {}
@@ -152,7 +134,7 @@ class InvertedIndex:
         return self._rank(Counter(tokens), k)
 
     def search_weighted(self, wq: WeightedQuery, k: int) -> list[ScoredHit]:
-        """Top-k search where each term contributes weight * bm25_term_score."""
+        """Top-k search where each term contributes weight times its BM25 term score."""
         if k < 1:
             raise ValueError("k must be >= 1")
         # sorted term order keeps float accumulation reproducible

@@ -147,7 +147,6 @@ class RemoteBackend:
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff: float = 1.0,
-        single_sample_requests: bool = False,
         session: Optional[requests.Session] = None,
     ):
         self.endpoint = endpoint
@@ -156,12 +155,9 @@ class RemoteBackend:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self.single_sample_requests = single_sample_requests
         self._session = session or requests.Session()
 
     def fetch(self, prompt: str, temperature: float, ordinals: Sequence[int]) -> list[str]:
-        if self.single_sample_requests:
-            return [self._request(prompt, temperature, 1)[0] for _ in ordinals]
         return self._request(prompt, temperature, len(ordinals))
 
     def fetch_many(self, jobs: Sequence[tuple]) -> list:
@@ -351,7 +347,7 @@ def generate(backend, requests: Sequence[GenerationRequest],
 
 
 class LlmClient:
-    """Backend plus optional cache, as used by the expansion pipelines."""
+    """Backend plus optional cache, as used by the expansion pipeline."""
 
     def __init__(self, backend, cache: Optional[GenerationCache] = None,
                  model_id: Optional[str] = None):

@@ -10,7 +10,11 @@ from collections import Counter
 
 
 def bm25_scores(doc_token_lists, query_tokens, k1=0.9, b=0.4):
-    """Brute-force BM25: score every document, one contribution per query token."""
+    """Brute-force BM25: score every document against the bag of query tokens.
+
+    Duplicate query tokens act as integer weights: each distinct term adds
+    count times its contribution, once.
+    """
     n_docs = len(doc_token_lists)
     total_len = sum(len(d) for d in doc_token_lists)
     avgdl = total_len / n_docs
@@ -22,13 +26,13 @@ def bm25_scores(doc_token_lists, query_tokens, k1=0.9, b=0.4):
     for tokens in doc_token_lists:
         tf = Counter(tokens)
         score = 0.0
-        for term in query_tokens:
+        for term, count in Counter(query_tokens).items():
             freq = tf[term]
             if freq == 0:
                 continue
             idf = math.log(1.0 + (n_docs - df[term] + 0.5) / (df[term] + 0.5))
             norm = 1.0 - b + b * len(tokens) / avgdl
-            score += idf * freq * (k1 + 1.0) / (freq + k1 * norm)
+            score += count * idf * freq * (k1 + 1.0) / (freq + k1 * norm)
         scores.append(score)
     return scores
 

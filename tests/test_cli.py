@@ -62,6 +62,15 @@ def test_remote_without_endpoint_is_usage_error(toy_index, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("method, flag", [("csqe", "--n-csqe"), ("keqe", "--n-keqe")])
+def test_zero_sample_count_is_usage_error(toy_index, tmp_path, capsys, method, flag):
+    output = tmp_path / "r.txt"
+    rc = main(_run_args(method, toy_index, output, *_mock_args(), flag, "0"))
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not output.exists()
+
+
 def test_fixture_miss_is_backend_error(toy_index, tmp_path, capsys):
     fixtures = tmp_path / "empty.json"
     fixtures.write_text("{}", encoding="utf-8")

@@ -19,11 +19,10 @@ from csqe.expansion import (
     compose_expanded_query,
     csqe_pipeline,
     format_extraction_response,
-    keqe_pipeline,
     parse_csqe_response,
     verify_extraction,
 )
-from csqe.index import build_index
+from csqe.index import InvertedIndex, build_index
 from csqe.llm import GenerationCache, LlmClient, MockBackend, RemoteBackend, fixture_key
 
 from conftest import DATA_DIR
@@ -254,10 +253,7 @@ def test_sentences_quoted_from_docs_always_verify(case):
     ],
 )
 def test_compose_examples(query, expansions, expected):
-    eq = compose_expanded_query(query, expansions)
-    assert eq.composed == expected
-    assert eq.original == query
-    assert list(eq.expansions) == expansions
+    assert compose_expanded_query(query, expansions) == expected
 
 
 def test_compose_rejects_empty_query():
@@ -273,7 +269,7 @@ def test_compose_rejects_empty_query():
     ),
 )
 def test_compose_token_arithmetic(query, expansions):
-    composed = compose_expanded_query(query, expansions).composed
+    composed = compose_expanded_query(query, expansions)
     expected = len(expansions) * len(query.split()) + sum(len(e.split()) for e in expansions)
     if not expansions:
         expected = len(query.split())
@@ -299,16 +295,24 @@ def _client(fixtures):
     return LlmClient(MockBackend(fixtures))
 
 
-def test_keqe_pipeline_equals_manual_composition(pipeline_index):
+def test_keqe_pipeline_equals_manual_composition(pipeline_index, monkeypatch):
     query = Query("q1", "penguin heat")
     prompt = build_keqe_prompt(query.text)
     passages = [f"passage {i} about penguin huddle heat" for i in range(5)]
     fixtures = {fixture_key(prompt, i): p for i, p in enumerate(passages)}
     cfg = PipelineConfig(n_keqe=5, n_csqe=0)
-    hits = keqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
-    manual = pipeline_index.search(
-        compose_expanded_query(query.text, passages).composed, 10
-    )
+    searched = []
+    search = InvertedIndex.search
+
+    def spy(self, text, k):
+        searched.append(text)
+        return search(self, text, k)
+
+    monkeypatch.setattr(InvertedIndex, "search", spy)
+    hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    composed = compose_expanded_query(query.text, passages)
+    assert searched == [composed]  # n_csqe=0 runs no first pass
+    manual = pipeline_index.search(composed, 10)
     assert hits == manual
 
 
@@ -317,7 +321,7 @@ def test_keqe_pipeline_empty_completions_fall_back_to_bm25(pipeline_index):
     prompt = build_keqe_prompt(query.text)
     fixtures = {fixture_key(prompt, i): "" for i in range(5)}
     cfg = PipelineConfig(n_keqe=5, n_csqe=0)
-    hits = keqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     assert hits == pipeline_index.search(query.text, 10)
 
 
@@ -327,7 +331,7 @@ def test_keqe_pipeline_passage_matching_relevant_doc_ranks_it_first(pipeline_ind
     relevant_text = pipeline_index.doc_texts[pipeline_index.ordinal("rel")]
     fixtures = {fixture_key(prompt, 0): relevant_text}
     cfg = PipelineConfig(n_keqe=1, n_csqe=0)
-    hits = keqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     assert hits[0].doc_id == "rel"
 
 
@@ -363,7 +367,7 @@ def test_csqe_pipeline_composition_and_determinism(pipeline_index):
         compose_expanded_query(
             query.text,
             [sentence, "huddle keeps penguin heat", "penguin blubber holds heat"],
-        ).composed,
+        ),
         10,
     )
     assert hits == manual
@@ -380,7 +384,8 @@ def test_csqe_pipeline_headerless_responses_reduce_to_keqe(pipeline_index):
         keqe_passages=["penguin heat passage one", "penguin heat passage two"],
     )
     csqe_hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
-    keqe_hits = keqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    keqe_cfg = PipelineConfig(n_keqe=2, n_csqe=0, k_feedback=5)
+    keqe_hits = csqe_pipeline(query, pipeline_index, _client(fixtures), keqe_cfg, top_k=10)
     assert csqe_hits == keqe_hits
 
 
@@ -409,7 +414,7 @@ def test_csqe_pipeline_empty_first_pass_uses_keqe_only(pipeline_index):
     cfg = PipelineConfig(n_keqe=2, n_csqe=2, k_feedback=5)
     hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     manual = pipeline_index.search(
-        compose_expanded_query(query.text, ["penguin huddle heat", "antarctic blubber"]).composed,
+        compose_expanded_query(query.text, ["penguin huddle heat", "antarctic blubber"]),
         10,
     )
     assert hits == manual
@@ -430,7 +435,7 @@ def test_prompt_dump_records_files(tmp_path, pipeline_index):
     fixtures = {fixture_key(prompt, 0): "a passage"}
     cfg = PipelineConfig(n_keqe=1, n_csqe=0)
     dump = PromptDump(tmp_path / "dump")
-    keqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=5, dump=dump)
+    csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=5, dump=dump)
     dump.finalize()
     root = tmp_path / "dump"
     [record] = json.loads((root / "prompts.json").read_text(encoding="utf-8"))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from csqe.cli import main
 from csqe.corpus import Document
 from csqe.errors import DataFormatError
-from csqe.index import InvertedIndex, ScoredHit, WeightedQuery, build_index
+from csqe.index import InvertedIndex, WeightedQuery, build_index
 
 from oracles import bm25_scores, bm25_weighted_scores, ranking_from_scores
 
@@ -39,7 +39,9 @@ def test_build_index_statistics():
 def test_build_index_allows_empty_document():
     index = build_index([Document("a", ""), Document("b", "f3")])
     assert index.doc_lens[index.ordinal("a")] == 0
-    assert index.search("f3", 5) == [ScoredHit("b", index.bm25_term_score("f3", 1))]
+    [hit] = index.search("f3", 5)
+    assert hit.doc_id == "b"
+    assert hit.score == pytest.approx(bm25_scores([[], ["f3"]], ["f3"])[1], rel=1e-12)
 
 
 def test_build_index_rejects_empty_collection():
@@ -58,16 +60,21 @@ def test_postings_sorted_and_df_consistent(shark_index):
         assert shark_index.df(term) == len(plist)
 
 
-# -- bm25_term_score -----------------------------------------------------------
+# -- term scores (single-term searches) ------------------------------------------
+
+
+def _scores_by_doc(index, query):
+    return {h.doc_id: h.score for h in index.search(query, index.doc_count)}
 
 
 def test_term_score_single_doc_base_case():
     index = build_index([Document("d1", "zebra")])
-    assert index.bm25_term_score("zebra", 0) == pytest.approx(math.log(4 / 3), rel=1e-12)
+    assert _scores_by_doc(index, "zebra")["d1"] == pytest.approx(math.log(4 / 3), rel=1e-12)
 
 
 def test_term_score_absent_term_is_zero(shark_index):
-    assert shark_index.bm25_term_score("cold", shark_index.ordinal("d1")) == 0.0
+    assert "d1" not in _scores_by_doc(shark_index, "cold")
+    assert _scores_by_doc(shark_index, "shark cold")["d1"] == _scores_by_doc(shark_index, "shark")["d1"]
 
 
 def test_term_score_monotone_in_tf_and_bounded():
@@ -75,7 +82,8 @@ def test_term_score_monotone_in_tf_and_bounded():
     docs = [Document(f"d{i}", " ".join(["k4"] * (i + 1) + ["f3"] * (8 - i)))
             for i in range(8)]
     index = build_index(docs)
-    scores = [index.bm25_term_score("k4", i) for i in range(8)]
+    by_doc = _scores_by_doc(index, "k4")
+    scores = [by_doc[f"d{i}"] for i in range(8)]
     assert all(a < b for a, b in zip(scores, scores[1:]))
     bound = index.idf("k4") * (index.k1 + 1.0)
     assert all(s < bound for s in scores)
@@ -115,7 +123,7 @@ def test_search_requires_positive_k(shark_index):
 def test_search_duplicate_query_tokens_upweight(shark_index):
     once = {h.doc_id: h.score for h in shark_index.search("shark warm", 10)}
     twice = {h.doc_id: h.score for h in shark_index.search("shark shark warm", 10)}
-    base = shark_index.bm25_term_score("shark", shark_index.ordinal("d2"))
+    base = _scores_by_doc(shark_index, "shark")["d2"]
     assert twice["d2"] - once["d2"] == pytest.approx(base, rel=1e-9)
 
 
@@ -219,6 +227,20 @@ def test_ranking_invariant_to_corpus_order(token_lists, query, seed):
     hits_a = build_index(docs).search(" ".join(query), len(docs))
     hits_b = build_index(shuffled).search(" ".join(query), len(docs))
     assert hits_a == hits_b  # scores are bit-identical, not merely close
+
+
+def test_search_and_oracle_agree_on_an_exact_tie():
+    # doc001 and doc002 tie exactly; an oracle that summed "d2 h7 d2" one
+    # token at a time split the tie by one ulp and ranked doc002 first
+    token_lists = [["d2"], ["d2"] * 3 + ["f3"] * 3 + ["h7"] * 2,
+                   ["d2"] * 3 + ["f3"] * 3 + ["g5"] * 2]
+    query = ["d2", "h7", "d2", "g5"]
+    docs = _docs_from_token_lists(token_lists)
+    hits = build_index(docs).search(" ".join(query), len(docs))
+    expected = ranking_from_scores([d.id for d in docs], bm25_scores(token_lists, query))
+    assert [h.doc_id for h in hits[:2]] == ["doc001", "doc002"]
+    assert hits[0].score == hits[1].score
+    assert [h.doc_id for h in hits] == [d for d, _ in expected]
 
 
 def test_search_is_deterministic(shark_index):

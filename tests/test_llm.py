@@ -260,14 +260,6 @@ def test_remote_empty_completion_is_empty_string(stub_server):
     assert backend.fetch("p", 1.0, [0]) == [""]
 
 
-def test_remote_single_sample_mode_issues_one_request_per_ordinal(stub_server):
-    endpoint, handler = stub_server
-    handler.script = [(200, _choices("a")), (200, _choices("b"))]
-    backend = RemoteBackend(endpoint, api_key="k", backoff=0.0, single_sample_requests=True)
-    assert backend.fetch("p", 1.0, [0, 1]) == ["a", "b"]
-    assert [req["body"]["n"] for req in handler.seen] == [1, 1]
-
-
 def test_remote_api_key_from_environment(stub_server, monkeypatch):
     endpoint, handler = stub_server
     handler.script = [(200, _choices("ok"))]
