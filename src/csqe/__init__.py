@@ -38,11 +38,9 @@ from .expansion import (
 from .index import InvertedIndex, ScoredHit, WeightedQuery, build_index
 from .llm import (
     GenerationCache,
-    GenerationRequest,
     LlmClient,
     MockBackend,
     RemoteBackend,
-    generate,
     prompt_hash,
 )
 from .prf import Rm3Config, rm3_expand, rm3_search

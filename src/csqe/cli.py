@@ -177,6 +177,8 @@ def _resolve_run_config(args) -> dict:
         resolved["n_keqe"] = (
             expansion.DEFAULT_N_KEQE_ALONE if args.method == "keqe" else expansion.DEFAULT_N_KEQE
         )
+    if args.method == "keqe":
+        resolved["n_csqe"] = 0  # KEQE draws no extraction samples
     if resolved["tag"] is None:
         resolved["tag"] = args.method
     if resolved["jobs"] < 1:
@@ -196,7 +198,7 @@ def _build_llm_client(config: dict) -> llm.LlmClient:
             raise UsageError("--backend remote requires --endpoint")
         backend = llm.RemoteBackend(endpoint=config["endpoint"], model_id=config["model"])
     cache = llm.GenerationCache(config["cache_dir"]) if config["cache_dir"] else None
-    return llm.LlmClient(backend, cache=cache, model_id=config["model"])
+    return llm.LlmClient(backend, cache=cache)
 
 
 def cmd_index(args) -> int:
@@ -219,16 +221,16 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _query_runner(method: str, config: dict, index: InvertedIndex, dump):
+def _query_runner(method: str, config: dict, index: InvertedIndex):
     """Validate ``method``'s settings; return its query runner and LLM client.
 
-    The runner maps a ``Query`` to its ranked hits. The client is None for
-    the methods that need no LLM. KEQE is the CSQE pipeline without the
-    extraction step (``n_csqe=0``).
+    The runner maps a ``Query`` and the prompt dump (or None) to its ranked
+    hits. The client is None for the methods that need no LLM. KEQE is the
+    CSQE pipeline without the extraction step (``n_csqe=0``).
     """
     topk = config["topk"]
     if method == "bm25":
-        return (lambda query: index.search(query.text, topk)), None
+        return (lambda query, _dump: index.search(query.text, topk)), None
     if method == "rm3":
         try:
             rm3_cfg = prf.Rm3Config(
@@ -239,7 +241,7 @@ def _query_runner(method: str, config: dict, index: InvertedIndex, dump):
         except ValueError as exc:
             raise UsageError(str(exc))
 
-        def rm3(query):
+        def rm3(query, _dump):
             try:
                 return prf.rm3_search(index, query.text, rm3_cfg, topk)
             except ValueError:
@@ -248,21 +250,22 @@ def _query_runner(method: str, config: dict, index: InvertedIndex, dump):
         return rm3, None
 
     client = _build_llm_client(config)
-    n_csqe = 0 if method == "keqe" else config["n_csqe"]
-    if method == "csqe" and n_csqe < 1:
+    if method == "keqe" and config["n_keqe"] < 1:
+        raise UsageError("--n-keqe must be >= 1 for keqe")
+    if method == "csqe" and config["n_csqe"] < 1:
         raise UsageError("--n-csqe must be >= 1 for csqe")
     try:
         cfg = expansion.PipelineConfig(
             k_feedback=config["k_feedback"],
             doc_token_budget=config["doc_tokens"],
             n_keqe=config["n_keqe"],
-            n_csqe=n_csqe,
+            n_csqe=config["n_csqe"],
             temperature=config["temperature"],
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    return (lambda query: expansion.csqe_pipeline(query, index, client, cfg,
-                                                  top_k=topk, dump=dump)), client
+    return (lambda query, dump: expansion.csqe_pipeline(query, index, client, cfg,
+                                                        top_k=topk, dump=dump)), client
 
 
 def cmd_run(args) -> int:
@@ -270,12 +273,12 @@ def cmd_run(args) -> int:
     with open(args.queries, "rb") as fh:
         queries = parse_queries_tsv(fh)
     index = InvertedIndex.load(args.index)
+    run_one, client = _query_runner(args.method, config, index)
     dump = expansion.PromptDump(args.dump_prompts) if args.dump_prompts else None
-    run_one, client = _query_runner(args.method, config, index, dump)
 
     def run_query(query):
         log.info("query %s: %s", query.id, query.text)
-        return run_one(query)
+        return run_one(query, dump)
 
     if config["jobs"] > 1:
         with ThreadPoolExecutor(max_workers=config["jobs"]) as pool:

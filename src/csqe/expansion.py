@@ -149,7 +149,6 @@ class ExtractionResult:
 
     relevant_doc_ordinals: list[int]
     sentences: list[str]
-    raw_response: str
 
 
 _HEADER_RE = re.compile(r"^\s*document\s+(\d+)\s*:\s*", re.IGNORECASE)
@@ -193,13 +192,17 @@ def parse_csqe_response(raw: str, k: int) -> ExtractionResult:
     for line in raw.splitlines():
         match = _HEADER_RE.match(line)
         if match:
-            number = int(match.group(1))
+            digits = match.group(1)
+            try:
+                number = int(digits)
+            except ValueError:  # more digits than int() converts: far outside 1..k
+                number = 0
             if 1 <= number <= k:
                 if number not in ordinals:
                     ordinals.append(number)
                 in_section, muted = True, False
             else:
-                log.warning("extraction names document %d outside 1..%d; ignored", number, k)
+                log.warning("extraction names document %.12s outside 1..%d; ignored", digits, k)
                 in_section, muted = True, True
             rest = line[match.end():]
             if rest.strip() and not muted:
@@ -207,7 +210,7 @@ def parse_csqe_response(raw: str, k: int) -> ExtractionResult:
             continue
         if in_section and not muted:
             consume(line)
-    return ExtractionResult(ordinals, sentences, raw)
+    return ExtractionResult(ordinals, sentences)
 
 
 _WS_RE = re.compile(r"\s+")

@@ -1,11 +1,15 @@
 """Text-generation backends with per-sample fingerprinting and a file cache.
 
-Two backends share one interface: ``fetch(prompt, temperature, ordinals)``
-returns one text per ordinal, and ``fetch_many(jobs)`` takes a list of such
-``(prompt, temperature, ordinals)`` jobs and returns each job's outcome in
-job order: its texts, or the exception its fetch raised. ``generate`` stores
-every job that succeeded before it raises the first failure, so a failed
-job never costs the samples fetched beside it.
+``LlmClient.sample_many`` is the one entry point: it takes ``(prompt, n)``
+requests, looks each sample up in the cache, sends every miss to the backend
+in one ``fetch_many`` call and stores what came back. When a job fails, the
+jobs that succeeded are still stored before the first failure is raised, so
+a failed job never costs the samples fetched beside it.
+
+A backend provides ``model_id``, ``fetch(prompt, temperature, ordinals)``,
+which returns one text per ordinal, and ``fetch_many(jobs)``, which takes a
+list of such ``(prompt, temperature, ordinals)`` jobs and returns each job's
+outcome in job order: its texts, or the exception its fetch raised.
 
 * ``RemoteBackend`` posts a chat-completion request
   ``{model, messages:[{role:"user",content:prompt}], temperature, n}`` and
@@ -17,10 +21,10 @@ job never costs the samples fetched beside it.
   whole pipeline runs deterministic and offline. It never waits, so its
   ``fetch_many`` runs the jobs one after another on the calling thread.
 
-Every sample is addressed by a stable fingerprint of
-(model_id, prompt, temperature, ordinal); the cache stores one file per
+Every sample is addressed by a stable fingerprint of (the backend's
+``model_id``, prompt, temperature, ordinal); the cache stores one file per
 fingerprint with an integrity checksum line, so warm runs never touch a
-backend and a bumped n_samples fetches only the new ordinals.
+backend and a bumped sample count fetches only the new ordinals.
 """
 
 import hashlib
@@ -30,7 +34,6 @@ import os
 import threading
 import time
 import uuid
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,22 +46,6 @@ log = logging.getLogger(__name__)
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_MODEL_ID = "gpt-3.5-turbo"
 API_KEY_ENV_VAR = "LLM_API_KEY"
-
-
-@dataclass(frozen=True)
-class GenerationRequest:
-    prompt: str
-    temperature: float = DEFAULT_TEMPERATURE
-    n_samples: int = 1
-    model_id: str = DEFAULT_MODEL_ID
-
-    def __post_init__(self):
-        if not self.prompt:
-            raise ValueError("prompt must be non-empty")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
 
 
 def prompt_hash(prompt: str) -> str:
@@ -75,7 +62,8 @@ def sample_fingerprint(model_id: str, prompt: str, temperature: float, ordinal: 
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
-def request_fingerprint(req: GenerationRequest) -> str:
+def request_fingerprint(req) -> str:
+    """Digest of the sample fingerprints of ``req`` (model_id, prompt, temperature, n_samples)."""
     parts = "".join(
         sample_fingerprint(req.model_id, req.prompt, req.temperature, i)
         for i in range(req.n_samples)
@@ -126,7 +114,7 @@ class MockBackend:
         for job in jobs:
             try:
                 outcomes.append(self.fetch(*job))
-            except BackendError as exc:  # reported per job, raised by generate
+            except BackendError as exc:  # reported per job, raised by LlmClient.sample_many
                 outcomes.append(exc)
         return outcomes
 
@@ -157,9 +145,6 @@ class RemoteBackend:
         self.backoff = backoff
         self._session = session or requests.Session()
 
-    def fetch(self, prompt: str, temperature: float, ordinals: Sequence[int]) -> list[str]:
-        return self._request(prompt, temperature, len(ordinals))
-
     def fetch_many(self, jobs: Sequence[tuple]) -> list:
         """Fetch each ``(prompt, temperature, ordinals)`` job, all at once.
 
@@ -172,7 +157,7 @@ class RemoteBackend:
         def run(i: int) -> None:
             try:
                 outcomes[i] = self.fetch(*jobs[i])
-            except BaseException as exc:  # reported per job, raised by generate
+            except BaseException as exc:  # reported per job, raised by LlmClient.sample_many
                 outcomes[i] = exc
 
         workers = [threading.Thread(target=run, args=(i,), daemon=True)
@@ -196,7 +181,8 @@ class RemoteBackend:
             return 0.0  # absent, or the HTTP-date form, which is not honoured
         return min(float(value), self.timeout)
 
-    def _request(self, prompt: str, temperature: float, n: int) -> list[str]:
+    def fetch(self, prompt: str, temperature: float, ordinals: Sequence[int]) -> list[str]:
+        n = len(ordinals)
         body = {
             "model": self.model_id,
             "messages": [{"role": "user", "content": prompt}],
@@ -298,72 +284,58 @@ class GenerationCache:
         return len(entries)
 
 
-def generate(backend, requests: Sequence[GenerationRequest],
-             cache: Optional[GenerationCache] = None) -> list[list[str]]:
-    """Texts for each request, in request and sample order.
-
-    With a cache, samples are looked up by fingerprint and only the missing
-    ordinals reach the backend. Every miss of every request goes to the
-    backend in one ``fetch_many`` call, so a backend that overlaps its jobs
-    waits once per call. Lookups and stores run on the calling thread. When
-    a job fails, the jobs that succeeded are still stored, and then the
-    first failure in job order is raised.
-    """
-    texts: list[list[Optional[str]]] = []
-    jobs = []
-    pending = []  # (texts slot, fingerprints, missing ordinals) for each job
-    for req in requests:
-        if cache is None:
-            fingerprints = None
-            slot: list[Optional[str]] = [None] * req.n_samples
-        else:
-            fingerprints = [
-                sample_fingerprint(req.model_id, req.prompt, req.temperature, i)
-                for i in range(req.n_samples)
-            ]
-            slot = [cache.get(fp) for fp in fingerprints]
-        texts.append(slot)
-        missing = [i for i, t in enumerate(slot) if t is None]
-        if missing:
-            jobs.append((req.prompt, req.temperature, missing))
-            pending.append((slot, fingerprints, missing))
-    outcomes = backend.fetch_many(jobs) if jobs else []
-    failure = None
-    for (slot, fingerprints, missing), fetched in zip(pending, outcomes):
-        if isinstance(fetched, BaseException):
-            failure = failure or fetched
-        elif len(fetched) != len(missing):
-            failure = failure or BackendError(
-                f"backend produced {len(fetched)} samples, expected {len(missing)}"
-            )
-        else:
-            for ordinal, text in zip(missing, fetched):
-                if cache is not None:
-                    cache.put(fingerprints[ordinal], text)
-                slot[ordinal] = text
-    if failure is not None:
-        raise failure
-    return texts
-
-
 class LlmClient:
-    """Backend plus optional cache, as used by the expansion pipeline."""
+    """Backend plus optional cache: the expansion pipeline's one path to a backend."""
 
-    def __init__(self, backend, cache: Optional[GenerationCache] = None,
-                 model_id: Optional[str] = None):
+    def __init__(self, backend, cache: Optional[GenerationCache] = None):
         self.backend = backend
         self.cache = cache
-        self.model_id = model_id or getattr(backend, "model_id", DEFAULT_MODEL_ID)
 
     def sample_many(self, requests: Sequence[tuple[str, int]],
                     temperature: float = DEFAULT_TEMPERATURE) -> list[list[str]]:
-        """``n`` texts for each ``(prompt, n)`` request, fetching all cache misses at once."""
-        reqs = [
-            GenerationRequest(prompt=prompt, temperature=temperature, n_samples=n,
-                              model_id=self.model_id)
-            for prompt, n in requests
-        ]
-        return generate(self.backend, reqs, self.cache)
+        """``n`` texts for each ``(prompt, n)`` request, in request and sample order.
+
+        With a cache, samples are looked up by fingerprint and only the
+        missing ordinals reach the backend. Every miss of every request goes
+        to the backend in one ``fetch_many`` call, so a backend that overlaps
+        its jobs waits once per call. Lookups and stores run on the calling
+        thread. When a job fails, the jobs that succeeded are still stored,
+        and then the first failure in job order is raised.
+        """
+        model_id = self.backend.model_id
+        texts: list[list[Optional[str]]] = []
+        jobs = []
+        pending = []  # (texts slot, fingerprints, missing ordinals) for each job
+        for prompt, n in requests:
+            if self.cache is None:
+                fingerprints = None
+                slot: list[Optional[str]] = [None] * n
+            else:
+                fingerprints = [sample_fingerprint(model_id, prompt, temperature, i)
+                                for i in range(n)]
+                slot = [self.cache.get(fp) for fp in fingerprints]
+            texts.append(slot)
+            missing = [i for i, t in enumerate(slot) if t is None]
+            if missing:
+                jobs.append((prompt, temperature, missing))
+                pending.append((slot, fingerprints, missing))
+        outcomes = self.backend.fetch_many(jobs) if jobs else []
+        failure = None
+        for (slot, fingerprints, missing), fetched in zip(pending, outcomes):
+            if isinstance(fetched, BaseException):
+                failure = failure or fetched
+            elif len(fetched) != len(missing):
+                failure = failure or BackendError(
+                    f"backend produced {len(fetched)} samples, expected {len(missing)}"
+                )
+            else:
+                for ordinal, text in zip(missing, fetched):
+                    if self.cache is not None:
+                        self.cache.put(fingerprints[ordinal], text)
+                    slot[ordinal] = text
+        if failure is not None:
+            raise failure
+        return texts
 
     def sample(self, prompt: str, n: int, temperature: float = DEFAULT_TEMPERATURE) -> list[str]:
         return self.sample_many([(prompt, n)], temperature)[0]

@@ -64,11 +64,15 @@ def test_remote_without_endpoint_is_usage_error(toy_index, tmp_path):
 
 @pytest.mark.parametrize("method, flag", [("csqe", "--n-csqe"), ("keqe", "--n-keqe")])
 def test_zero_sample_count_is_usage_error(toy_index, tmp_path, capsys, method, flag):
-    output = tmp_path / "r.txt"
-    rc = main(_run_args(method, toy_index, output, *_mock_args(), flag, "0"))
+    output, dump_dir = tmp_path / "r.txt", tmp_path / "dump"
+    rc = main(_run_args(method, toy_index, output, *_mock_args(), flag, "0",
+                        "--dump-prompts", str(dump_dir)))
     assert rc == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert flag in err
     assert not output.exists()
+    assert not dump_dir.exists()
 
 
 def test_fixture_miss_is_backend_error(toy_index, tmp_path, capsys):
@@ -222,6 +226,14 @@ def test_keqe_run_defaults_to_five_samples(toy_index, tmp_path):
     assert main(_run_args("keqe", toy_index, out, *_mock_args())) == 0
     manifest = json.loads((tmp_path / "keqe.txt.manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"]["n_keqe"] == 5
+    assert manifest["config"]["n_csqe"] == 0
+
+
+def test_keqe_manifest_records_no_extraction_samples_whatever_the_flag(toy_index, tmp_path):
+    out = tmp_path / "keqe.txt"
+    assert main(_run_args("keqe", toy_index, out, *_mock_args(), "--n-csqe", "3")) == 0
+    manifest = json.loads((tmp_path / "keqe.txt.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["n_csqe"] == 0
 
 
 def test_config_file_precedence(toy_index, tmp_path):

@@ -10,12 +10,10 @@ from hypothesis import given, strategies as st
 from csqe.errors import BackendError, FixtureMissError
 from csqe.llm import (
     GenerationCache,
-    GenerationRequest,
     LlmClient,
     MockBackend,
     RemoteBackend,
     fixture_key,
-    generate,
     prompt_hash,
     sample_fingerprint,
 )
@@ -38,16 +36,7 @@ class SpyBackend:
         return [self.fetch(*job) for job in jobs]
 
 
-# -- requests and fingerprints ---------------------------------------------------
-
-
-def test_request_validation():
-    with pytest.raises(ValueError):
-        GenerationRequest(prompt="")
-    with pytest.raises(ValueError):
-        GenerationRequest(prompt="p", n_samples=0)
-    with pytest.raises(ValueError):
-        GenerationRequest(prompt="p", temperature=-0.1)
+# -- fingerprints ------------------------------------------------------------------
 
 
 @given(
@@ -70,7 +59,8 @@ def test_fingerprints_injective(tuples):
 
 def test_fingerprint_stable_across_runs():
     fp = sample_fingerprint("m", "p", 1.0, 0)
-    assert fp == sample_fingerprint("m", "p", 1.0, 0)
+    # pinned: a different value would orphan every cache entry already written
+    assert fp == "7ae22f99009083537fd8c39058818e50fd1b72ba657684cd7280074d2b04018b"
     assert fp != sample_fingerprint("m", "p", 0.5, 0)
     assert fp != sample_fingerprint("m", "p", 1.0, 1)
 
@@ -80,14 +70,14 @@ def test_fingerprint_stable_across_runs():
 
 def test_mock_returns_fixtures_in_order():
     fixtures = {fixture_key("p", 0): "x", fixture_key("p", 1): "y"}
-    texts = generate(MockBackend(fixtures), [GenerationRequest(prompt="p", n_samples=2)])
+    texts = LlmClient(MockBackend(fixtures)).sample_many([("p", 2)])
     assert texts == [["x", "y"]]
 
 
 def test_mock_unknown_prompt_is_fixture_miss():
     backend = MockBackend({fixture_key("p", 0): "x"})
     with pytest.raises(FixtureMissError, match=prompt_hash("other")):
-        generate(backend, [GenerationRequest(prompt="other")])
+        LlmClient(backend).sample_many([("other", 1)])
 
 
 def test_mock_from_file_round_trip(tmp_path):
@@ -108,9 +98,10 @@ def test_mock_from_file_rejects_non_string_map(tmp_path):
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    script = []  # list of (status, payload_dict_or_text[, extra headers])
+    script = []  # list of (status, payload_dict_or_text_or_raw_bytes[, extra headers])
     by_prompt = {}  # prompt -> (status, payload): replies that ignore the script
     seen = []
+    delay = 0.0  # seconds to wait before each reply
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
@@ -125,7 +116,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             status, payload, *headers = (
                 type(self).script.pop(0) if type(self).script else (200, {"choices": []})
             )
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
+        if type(self).delay:  # only then: some tests record the client's time.sleep calls
+            time.sleep(type(self).delay)
         self.send_response(status)
         for name, value in (headers[0] if headers else {}).items():
             self.send_header(name, value)
@@ -143,6 +136,7 @@ def stub_server():
     _StubHandler.script = []
     _StubHandler.by_prompt = {}
     _StubHandler.seen = []
+    _StubHandler.delay = 0.0
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -159,7 +153,7 @@ def test_remote_reads_choices_in_order(stub_server):
     endpoint, handler = stub_server
     handler.script = [(200, _choices("first", "second"))]
     backend = RemoteBackend(endpoint, model_id="test-model", api_key="sk-test", backoff=0.0)
-    texts = generate(backend, [GenerationRequest(prompt="p", n_samples=2, model_id="test-model")])
+    texts = LlmClient(backend).sample_many([("p", 2)])
     assert texts == [["first", "second"]]
     request = handler.seen[0]
     assert request["body"] == {
@@ -214,6 +208,24 @@ def test_remote_retry_waits_for_retry_after(stub_server, monkeypatch, status, re
     backend = RemoteBackend(endpoint, api_key="k", backoff=0.5, timeout=5.0)
     assert backend.fetch("p", 1.0, [0]) == ["ok"]
     assert sleeps == [expected]
+
+
+def test_remote_truncated_json_is_malformed_without_retry(stub_server):
+    endpoint, handler = stub_server
+    handler.script = [(200, json.dumps(_choices("cut short")).encode("utf-8")[:-5])]
+    backend = RemoteBackend(endpoint, api_key="k", backoff=0.0, max_retries=3)
+    with pytest.raises(BackendError, match="malformed backend response"):
+        backend.fetch("p", 1.0, [0])
+    assert len(handler.seen) == 1
+
+
+def test_remote_reply_slower_than_timeout_is_retried_then_raised(stub_server):
+    endpoint, handler = stub_server
+    handler.delay = 0.3
+    backend = RemoteBackend(endpoint, api_key="k", timeout=0.1, max_retries=1, backoff=0.0)
+    with pytest.raises(BackendError, match="failed"):
+        backend.fetch("p", 1.0, [0])
+    assert len(handler.seen) == 2
 
 
 def test_remote_fetch_many_returns_each_job_in_order(stub_server):
@@ -275,9 +287,9 @@ def test_remote_api_key_from_environment(stub_server, monkeypatch):
 def test_cache_hit_skips_backend(tmp_path):
     cache = GenerationCache(tmp_path / "cache")
     backend = SpyBackend()
-    req = GenerationRequest(prompt="p", n_samples=2, model_id="spy")
-    first = generate(backend, [req], cache)
-    second = generate(backend, [req], cache)
+    client = LlmClient(backend, cache)
+    first = client.sample_many([("p", 2)])
+    second = client.sample_many([("p", 2)])
     assert first == second
     assert backend.calls == [[0, 1]]  # second call never reached the backend
 
@@ -285,16 +297,18 @@ def test_cache_hit_skips_backend(tmp_path):
 def test_cache_distinguishes_temperature(tmp_path):
     cache = GenerationCache(tmp_path / "cache")
     backend = SpyBackend()
-    generate(backend, [GenerationRequest(prompt="p", temperature=1.0, model_id="spy")], cache)
-    generate(backend, [GenerationRequest(prompt="p", temperature=0.5, model_id="spy")], cache)
+    client = LlmClient(backend, cache)
+    client.sample_many([("p", 1)], temperature=1.0)
+    client.sample_many([("p", 1)], temperature=0.5)
     assert backend.calls == [[0], [0]]
 
 
 def test_cache_fetches_only_new_ordinals(tmp_path):
     cache = GenerationCache(tmp_path / "cache")
     backend = SpyBackend()
-    generate(backend, [GenerationRequest(prompt="p", n_samples=2, model_id="spy")], cache)
-    [texts] = generate(backend, [GenerationRequest(prompt="p", n_samples=3, model_id="spy")], cache)
+    client = LlmClient(backend, cache)
+    client.sample_many([("p", 2)])
+    [texts] = client.sample_many([("p", 3)])
     assert backend.calls == [[0, 1], [2]]
     assert texts == [f"{prompt_hash('p')[:8]}/{i}" for i in range(3)]
 
@@ -309,13 +323,13 @@ def test_cache_survives_newlines_and_unicode(tmp_path):
 def test_cache_corruption_refetches_with_warning(tmp_path, caplog):
     cache = GenerationCache(tmp_path / "cache")
     backend = SpyBackend()
-    req = GenerationRequest(prompt="p", model_id="spy")
-    generate(backend, [req], cache)
+    client = LlmClient(backend, cache)
+    client.sample_many([("p", 1)])
     fp = sample_fingerprint("spy", "p", 1.0, 0)
     entry = cache.root / fp
     entry.write_bytes(entry.read_bytes()[:-1] + b"?")
     with caplog.at_level("WARNING"):
-        generate(backend, [req], cache)
+        client.sample_many([("p", 1)])
     assert "integrity" in caplog.text
     assert backend.calls == [[0], [0]]
     # the refetched entry was rewritten and now verifies
@@ -341,16 +355,11 @@ def test_cache_put_survives_a_nested_put_of_the_same_fingerprint(tmp_path, monke
     assert [p.name for p in cache.root.iterdir()] == [fp]
 
 
-def test_generate_sends_every_miss_in_one_backend_call(tmp_path):
-    cache = GenerationCache(tmp_path / "cache")
+def test_sample_many_sends_every_miss_in_one_backend_call(tmp_path):
     backend = SpyBackend()
-    generate(backend, [GenerationRequest(prompt="a", n_samples=1, model_id="spy")], cache)
-    requests = [
-        GenerationRequest(prompt="a", n_samples=2, model_id="spy"),
-        GenerationRequest(prompt="b", n_samples=1, model_id="spy"),
-        GenerationRequest(prompt="a", n_samples=1, model_id="spy"),  # fully cached
-    ]
-    texts = generate(backend, requests, cache)
+    client = LlmClient(backend, GenerationCache(tmp_path / "cache"))
+    client.sample_many([("a", 1)])
+    texts = client.sample_many([("a", 2), ("b", 1), ("a", 1)])  # the last is fully cached
     assert backend.batches == [1, 2]  # jobs per fetch_many call
     assert backend.calls == [[0], [1], [0]]
     assert texts == [
