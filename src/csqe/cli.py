@@ -207,7 +207,7 @@ def cmd_index(args) -> int:
     index = build_index(docs, k1=args.k1, b=args.b)
     index.save(args.output)
     log.info("indexed %d documents (%d terms) -> %s",
-             index.doc_count, len(index.postings), args.output)
+             index.doc_count, len(index.terms), args.output)
     return EXIT_OK
 
 

@@ -79,13 +79,12 @@ def parse_jsonl_corpus(stream: Union[IO, Iterable]) -> list[Document]:
     """Parse a JSONL corpus stream into documents, preserving input order.
 
     Raises:
-        DataFormatError: on bytes that are not UTF-8, malformed JSON, a
+        DataFormatError: on bytes that are not UTF-8, malformed JSON, or a
             missing/invalid field (including a lone surrogate escape, which
-            cannot be written back as UTF-8), or a duplicate document id
-            (the message carries the line number).
+            cannot be written back as UTF-8); the message carries the line
+            number. Duplicate document ids are left to ``build_index``.
     """
     docs: list[Document] = []
-    seen: set[str] = set()
     for lineno, line in _iter_lines(stream, "corpus"):
         line = line.strip()
         if not line:
@@ -102,9 +101,6 @@ def parse_jsonl_corpus(stream: Union[IO, Iterable]) -> list[Document]:
             raise DataFormatError(f"corpus line {lineno}: missing or empty string field 'id'")
         if not isinstance(contents, str):
             raise DataFormatError(f"corpus line {lineno}: missing string field 'contents'")
-        if doc_id in seen:
-            raise DataFormatError(f"corpus line {lineno}: duplicate document id '{doc_id}'")
-        seen.add(doc_id)
         title = obj.get("title")
         if title is not None and not isinstance(title, str):
             raise DataFormatError(f"corpus line {lineno}: field 'title' must be a string")

@@ -5,6 +5,11 @@ grade/log2(rank+1) with the ideal ranking computed over all judged
 documents (exponential gain is available behind a flag); mAP and recall
 binarize at a configurable grade threshold; queries with no relevant
 documents are excluded from macro averages.
+
+One divergence: documents whose run-file scores tie keep their file order
+(``parse_trec_run`` sorts stably), while trec_eval orders tied documents by
+docno, descending. On a run with tied scores the two can report different
+values.
 """
 
 import json
@@ -75,7 +80,8 @@ def parse_trec_run(stream: Union[IO, Iterable]) -> RunFile:
     """Parse a TREC run file, re-sorting each query by score descending.
 
     The sort is stable so documents whose printed scores collide keep their
-    file order; duplicate documents within a query are an error.
+    file order (trec_eval would order them by docno, descending); duplicate
+    documents within a query are an error.
     """
     rankings: dict[str, list[tuple[str, float]]] = {}
     seen: dict[str, set] = {}

@@ -5,34 +5,45 @@ tf saturation with length normalization; defaults k1=0.9, b=0.4. Result
 lists are ordered by score descending with ties broken by external doc id
 ascending, so rankings do not depend on corpus input order.
 
-On-disk layout (format version 2): the 8-byte magic ``CSQEIDX1``, the
-version as a little-endian u32, then one zlib stream. Decompressed, it holds
-a header ``<dd5Q`` (k1, b, and the byte size of each of the five sections
-that follow) and the sections in order:
+In memory the postings are compressed sparse rows: the posting lists of the
+sorted terms laid end to end in two ``array``s, ``ordinals`` (document
+ordinals, ascending within each list) and ``tfs``, with term ``i``'s list at
+``offsets[i]:offsets[i + 1]``.
 
-1. UTF-8 JSON ``[doc_ids, doc_texts, terms]`` with terms sorted;
-2. ``doc_lens``, one u32 per document;
-3. ``dfs``, one u32 per term: the length of its postings list;
-4. posting ordinals, u32, gap-coded within each term's list (the first
-   entry is the ordinal itself, each later one the distance to the one
-   before);
-5. posting tfs, u32, aligned with the ordinals.
+On-disk layout (format version 3): the 8-byte magic ``CSQEIDX1``, the
+version as a little-endian u32, a header ``<dd2Q4Q4B`` (k1, b, the byte size
+of each of the two zlib streams that follow, then the count and the byte
+width of each of the four arrays below), and the two streams:
 
-All u32 arrays are little-endian. ``load`` checks that the section sizes
-add up to the payload, that the array lengths agree and that every posting
-ordinal names a document, and raises ``DataFormatError`` otherwise.
+1. UTF-8 JSON ``[doc_ids, doc_texts, terms]`` with terms sorted, at zlib
+   level 5;
+2. at level 6, the little-endian unsigned arrays, end to end:
+   ``doc_lens``, one per document; ``dfs``, one per term, the length of its
+   postings list; posting ordinals, gap-coded within each term's list (the
+   first entry is the ordinal itself, each later one the distance to the
+   one before); posting tfs, aligned with the ordinals. Each array is 1, 2
+   or 4 bytes wide, the narrowest that holds its largest value.
+
+``load`` checks that the stream sizes add up to the file, that the array
+widths and lengths agree, and that every postings list names distinct
+documents that exist, and raises ``DataFormatError`` otherwise. Files of
+earlier format versions are refused with ``unsupported index format
+version <n>``.
 """
 
 import json
 import math
 import os
 import struct
+import sys
 import uuid
 import zlib
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, chain
+from operator import sub
+from typing import Mapping, Sequence
 
 from .corpus import Document, tokenize
 from .errors import DataFormatError
@@ -41,11 +52,16 @@ DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 
 _MAGIC = b"CSQEIDX1"
-_FORMAT_VERSION = 2
-_HEADER = struct.Struct("<dd5Q")  # k1, b, byte size of each section
+_FORMAT_VERSION = 3
+# k1, b, byte size of each zlib stream, count of each array, byte width of each array
+_HEADER = struct.Struct("<dd2Q4Q4B")
+_TYPECODES = {array(code).itemsize: code for code in "LIHB"}  # byte width -> typecode
+_U32 = _TYPECODES[4]
+_TEXT_LEVEL = 5  # the texts are most of the file and of the time save spends compressing
+_ARRAY_LEVEL = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a run builds up to depth-many per query
 class ScoredHit:
     doc_id: str
     score: float
@@ -74,55 +90,70 @@ class InvertedIndex:
 
     def __init__(
         self,
-        postings: dict[str, list[tuple[int, int]]],
+        terms: list[str],
+        offsets: list[int],
+        ordinals: array,
+        tfs: array,
         doc_ids: list[str],
         doc_lens: list[int],
         doc_texts: list[str],
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ):
-        self.postings = postings
+        self.terms = terms
+        self.offsets = offsets
+        self.ordinals = ordinals
+        self.tfs = tfs
         self.doc_ids = doc_ids
         self.doc_lens = doc_lens
         self.doc_texts = doc_texts
         self.k1 = k1
         self.b = b
         self.doc_count = len(doc_ids)
-        self.avg_doc_len = sum(doc_lens) / self.doc_count if self.doc_count else 0.0
-        self._ordinals = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+        self.avg_doc_len = avg = sum(doc_lens) / self.doc_count if self.doc_count else 0.0
+        self._slots = {term: slot for slot, term in enumerate(terms)}
+        self._ordinal_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+        # k1 times the length norm of each document; avg is 0 only when every length is
+        self._knorm = ([k1 * (1.0 - b + b * n / avg) for n in doc_lens] if avg
+                       else [k1 * (1.0 - b)] * len(doc_lens))
+        self._id_rank = [0] * self.doc_count
+        for rank, ordinal in enumerate(sorted(range(self.doc_count), key=doc_ids.__getitem__)):
+            self._id_rank[ordinal] = rank
 
     # -- statistics ---------------------------------------------------------
 
     def df(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        slot = self._slots.get(term)
+        return 0 if slot is None else self.offsets[slot + 1] - self.offsets[slot]
 
     def idf(self, term: str) -> float:
         df = self.df(term)
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
     def ordinal(self, doc_id: str) -> int:
-        return self._ordinals[doc_id]
+        return self._ordinal_of[doc_id]
 
     # -- scoring ------------------------------------------------------------
 
     def _rank(self, term_weights: Mapping[str, float], k: int) -> list[ScoredHit]:
         scores: dict[int, float] = {}
+        get = scores.get
+        knorm = self._knorm
+        k1p1 = self.k1 + 1.0
         for term, weight in term_weights.items():
             if weight == 0.0:
                 continue
-            plist = self.postings.get(term)
-            if not plist:
+            slot = self._slots.get(term)
+            if slot is None:
                 continue
-            idf = self.idf(term)
-            k1 = self.k1
-            b = self.b
-            for ordinal, tf in plist:
-                norm = 1.0 - b + b * self.doc_lens[ordinal] / self.avg_doc_len
-                contribution = weight * idf * tf * (k1 + 1.0) / (tf + k1 * norm)
-                scores[ordinal] = scores.get(ordinal, 0.0) + contribution
-        hits = [ScoredHit(self.doc_ids[o], s) for o, s in scores.items()]
-        hits.sort(key=lambda h: (-h.score, h.doc_id))
-        return hits[:k]
+            start, end = self.offsets[slot], self.offsets[slot + 1]
+            wi = weight * self.idf(term)
+            for o, tf in zip(self.ordinals[start:end], self.tfs[start:end]):
+                scores[o] = get(o, 0.0) + wi * tf * k1p1 / (tf + knorm[o])
+        # doc-id order first, then a stable sort by score: ties stay in doc-id order
+        ranked = sorted(scores, key=self._id_rank.__getitem__)
+        ranked.sort(key=scores.__getitem__, reverse=True)
+        return [ScoredHit(self.doc_ids[o], scores[o]) for o in ranked[:k]]
 
     def search(self, query_text: str, k: int) -> list[ScoredHit]:
         """Top-k BM25 search. Duplicate query tokens act as integer weights."""
@@ -144,81 +175,104 @@ class InvertedIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        terms = sorted(self.postings)
-        dfs, gaps, tfs = [], [], []
-        for term in terms:
-            plist = self.postings[term]
-            dfs.append(len(plist))
-            prev = 0
-            for ordinal, tf in plist:
-                gaps.append(ordinal - prev)
-                tfs.append(tf)
-                prev = ordinal
-        strings = json.dumps([self.doc_ids, self.doc_texts, terms],
+        spans = list(zip(self.offsets, self.offsets[1:]))
+        gaps = array(_U32)
+        for start, end in spans:
+            run = self.ordinals[start:end]
+            gaps.extend(map(sub, run, chain((0,), run)))
+        arrays = [_narrowest(values) for values in
+                  (self.doc_lens, [end - start for start, end in spans], gaps, self.tfs)]
+        strings = json.dumps([self.doc_ids, self.doc_texts, self.terms],
                              ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-        sections = [strings] + [struct.pack(f"<{len(values)}I", *values)
-                                for values in (self.doc_lens, dfs, gaps, tfs)]
-        blob = zlib.compress(_HEADER.pack(self.k1, self.b, *map(len, sections))
-                             + b"".join(sections))
+        streams = [zlib.compress(strings, _TEXT_LEVEL),
+                   zlib.compress(b"".join(map(_le_bytes, arrays)), _ARRAY_LEVEL)]
+        header = _HEADER.pack(self.k1, self.b, *map(len, streams), *map(len, arrays),
+                              *(values.itemsize for values in arrays))
         # unique per call: concurrent or nested saves to one path never share it
         tmp = f"{path}.tmp.{uuid.uuid4().hex}"
         with open(tmp, "xb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", _FORMAT_VERSION))
-            fh.write(blob)
+            fh.write(header)
+            fh.writelines(streams)
         os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "InvertedIndex":
         with open(path, "rb") as fh:
-            header = fh.read(len(_MAGIC) + 4)
-            if len(header) < len(_MAGIC) + 4 or header[: len(_MAGIC)] != _MAGIC:
-                raise DataFormatError(f"{path}: not an index file (bad magic)")
-            (version,) = struct.unpack("<I", header[len(_MAGIC):])
-            if version != _FORMAT_VERSION:
-                raise DataFormatError(f"{path}: unsupported index format version {version}")
-            try:
-                payload = zlib.decompress(fh.read())
-            except zlib.error as exc:
-                raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
-        if len(payload) < _HEADER.size:
+            data = fh.read()
+        prefix = len(_MAGIC) + 4
+        if len(data) < prefix or data[: len(_MAGIC)] != _MAGIC:
+            raise DataFormatError(f"{path}: not an index file (bad magic)")
+        (version,) = struct.unpack_from("<I", data, len(_MAGIC))
+        if version != _FORMAT_VERSION:
+            raise DataFormatError(f"{path}: unsupported index format version {version}")
+        if len(data) < prefix + _HEADER.size:
             raise DataFormatError(f"{path}: corrupt index payload (truncated header)")
-        k1, b, *sizes = _HEADER.unpack_from(payload)
-        if _HEADER.size + sum(sizes) != len(payload):
+        k1, b, text_size, array_size, *shape = _HEADER.unpack_from(data, prefix)
+        body = prefix + _HEADER.size
+        if body + text_size + array_size != len(data):
             raise DataFormatError(
-                f"{path}: corrupt index payload (section sizes {sizes} do not sum to "
-                f"{len(payload) - _HEADER.size} bytes)"
+                f"{path}: corrupt index payload (stream sizes {[text_size, array_size]} do not "
+                f"sum to {len(data) - body} bytes)"
             )
-        offsets = list(accumulate(sizes, initial=_HEADER.size))
+        view = memoryview(data)
         try:
-            strings = json.loads(payload[offsets[0]:offsets[1]])
+            strings = json.loads(zlib.decompress(view[body:body + text_size]))
             if not (isinstance(strings, list) and len(strings) == 3 and all(
                     isinstance(part, list) and all(isinstance(s, str) for s in part)
                     for part in strings)):
                 raise ValueError("strings section is not three lists of strings")
             doc_ids, doc_texts, terms = strings
-            doc_lens, dfs, gaps, tfs = (_unpack_u32(payload, offset, size)
-                                        for offset, size in zip(offsets[1:], sizes[1:]))
-        except ValueError as exc:
+            doc_lens, dfs, gaps, tfs = _read_arrays(
+                zlib.decompress(view[body + text_size:]), shape[:4], shape[4:])
+            if not (len(doc_ids) == len(doc_texts) == len(doc_lens) and len(terms) == len(dfs)
+                    and sum(dfs) == len(gaps) == len(tfs)):
+                raise ValueError("section lengths disagree")
+            offsets = [0, *accumulate(dfs)]
+            ordinals = array(_U32)
+            for start, end in zip(offsets, offsets[1:]):
+                run = gaps[start:end]
+                if 0 in run[1:]:
+                    raise ValueError("duplicate ordinal in a postings list")
+                if run and sum(run) >= len(doc_ids):
+                    raise ValueError("posting ordinal out of range")
+                ordinals.extend(accumulate(run))
+        except (zlib.error, ValueError) as exc:
             raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
-        if not (len(doc_ids) == len(doc_texts) == len(doc_lens) and len(terms) == len(dfs)
-                and sum(dfs) == len(gaps) == len(tfs)):
-            raise DataFormatError(f"{path}: corrupt index payload (section lengths disagree)")
-        postings = {}
-        start = 0
-        for term, df in zip(terms, dfs):
-            end = start + df
-            postings[term] = list(zip(accumulate(gaps[start:end]), tfs[start:end]))
-            start = end
-        if any(plist and plist[-1][0] >= len(doc_ids) for plist in postings.values()):
-            raise DataFormatError(f"{path}: corrupt index payload (posting ordinal out of range)")
-        return cls(postings, doc_ids, list(doc_lens), doc_texts, k1=k1, b=b)
+        return cls(terms, offsets, ordinals, tfs, doc_ids, doc_lens.tolist(), doc_texts,
+                   k1=k1, b=b)
 
 
-def _unpack_u32(payload: bytes, offset: int, size: int) -> tuple[int, ...]:
-    if size % 4:
-        raise ValueError(f"u32 section of {size} bytes")
-    return struct.unpack_from(f"<{size // 4}I", payload, offset)
+def _narrowest(values) -> array:
+    """``values`` as an unsigned array of the narrowest width that holds them."""
+    top = max(values, default=0)
+    width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+    return array(_TYPECODES[width], values)
+
+
+def _le_bytes(values: array) -> bytes:
+    if sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return values.tobytes()
+
+
+def _read_arrays(raw: bytes, counts: Sequence[int], widths: Sequence[int]) -> list[array]:
+    bad = [w for w in widths if w not in (1, 2, 4)]
+    if bad:
+        raise ValueError(f"array width {bad[0]} is not 1, 2 or 4")
+    if sum(c * w for c, w in zip(counts, widths)) != len(raw):
+        raise ValueError(f"array sizes do not sum to {len(raw)} bytes")
+    arrays, offset, view = [], 0, memoryview(raw)
+    for count, width in zip(counts, widths):
+        values = array(_TYPECODES[width])
+        values.frombytes(view[offset:offset + count * width])
+        if sys.byteorder == "big":
+            values.byteswap()
+        arrays.append(values)
+        offset += count * width
+    return arrays
 
 
 def build_index(
@@ -234,7 +288,7 @@ def build_index(
     if not docs:
         raise DataFormatError("cannot build an index over an empty collection")
     seen: set[str] = set()
-    postings: dict[str, list[tuple[int, int]]] = {}
+    flat: dict[str, list[int]] = {}  # term -> [ordinal, tf, ordinal, tf, ...]
     doc_ids: list[str] = []
     doc_lens: list[int] = []
     doc_texts: list[str] = []
@@ -247,5 +301,13 @@ def build_index(
         doc_lens.append(len(tokens))
         doc_texts.append(doc.text)
         for term, tf in Counter(tokens).items():
-            postings.setdefault(term, []).append((ordinal, tf))
-    return InvertedIndex(postings, doc_ids, doc_lens, doc_texts, k1=k1, b=b)
+            entry = flat.get(term)
+            if entry is None:
+                flat[term] = [ordinal, tf]
+            else:
+                entry += (ordinal, tf)
+    terms = sorted(flat)
+    pairs = list(chain.from_iterable(map(flat.__getitem__, terms)))
+    offsets = [0, *accumulate(len(flat[term]) // 2 for term in terms)]
+    return InvertedIndex(terms, offsets, array(_U32, pairs[0::2]), array(_U32, pairs[1::2]),
+                         doc_ids, doc_lens, doc_texts, k1=k1, b=b)

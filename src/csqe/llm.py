@@ -227,6 +227,9 @@ class RemoteBackend:
             raise BackendError(f"malformed backend response: {exc}") from exc
         if len(texts) < n:
             raise BackendError(f"backend returned {len(texts)} choices, expected {n}")
+        if len(texts) > n:
+            log.warning("backend returned %d choices, expected %d; keeping the first %d",
+                        len(texts), n, n)
         return texts[:n]
 
 

@@ -136,6 +136,16 @@ def test_index_rejects_a_corpus_that_is_not_utf8_as_data_error(tmp_path, capsys,
     assert not output.exists()
 
 
+
+def test_index_rejects_a_duplicate_document_id_as_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b'{"id":"d1","contents":"x"}\n{"id":"d2","contents":"y"}\n'
+                       b'{"id":"d1","contents":"z"}\n')
+    output = tmp_path / "index.bin"
+    assert main(["index", "--input", str(corpus), "--output", str(output)]) == 2
+    assert "duplicate document id 'd1'" in capsys.readouterr().err
+    assert not output.exists()
+
 # -- search subcommand --------------------------------------------------------------
 
 

@@ -161,14 +161,6 @@ def test_parse_corpus_title_prepended():
     assert parse_jsonl_corpus(stream) == [Document("d2", "Biology the study of life")]
 
 
-def test_parse_corpus_duplicate_id():
-    stream = _bytes_stream(
-        '{"id":"d1","contents":"x"}\n{"id":"d1","contents":"y"}\n'
-    )
-    with pytest.raises(DataFormatError, match="d1"):
-        parse_jsonl_corpus(stream)
-
-
 def test_parse_corpus_bad_json_reports_line():
     stream = _bytes_stream('{"id":"d1","contents":"x"}\nnot json\n')
     with pytest.raises(DataFormatError, match="line 2"):

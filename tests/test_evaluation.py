@@ -273,6 +273,21 @@ def test_parse_run_resorts_by_score():
     assert [d for d, _ in parsed.rankings["q1"]] == ["high", "low"]
 
 
+
+def test_tied_scores_keep_file_order_unlike_trec_eval():
+    # "a" and "b" tie; only "b" is relevant. File order a, b gives
+    # nDCG@1 = 0 and nDCG@2 = (1 / log2(3)) / 1; trec_eval would rank b
+    # (docno descending) first and report 1.0 for both.
+    qrels = Qrels({"q1": {"b": 1}})
+    run = parse_trec_run(_stream("q1 Q0 a 1 1.500000 x\nq1 Q0 b 2 1.500000 x\n"))
+    assert [d for d, _ in run.rankings["q1"]] == ["a", "b"]
+    report = evaluate_run(run, qrels, ["ndcg_cut.1", "ndcg_cut.2"])
+    assert report.macro["ndcg_cut.1"] == 0.0
+    assert report.macro["ndcg_cut.2"] == pytest.approx(1 / math.log2(3), rel=1e-12)
+    swapped = parse_trec_run(_stream("q1 Q0 b 1 1.500000 x\nq1 Q0 a 2 1.500000 x\n"))
+    report = evaluate_run(swapped, qrels, ["ndcg_cut.1", "ndcg_cut.2"])
+    assert report.macro == {"ndcg_cut.1": 1.0, "ndcg_cut.2": 1.0}
+
 # -- evaluate_run ----------------------------------------------------------------------
 
 

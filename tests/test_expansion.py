@@ -2,11 +2,12 @@ import json
 import re
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csqe.corpus import Document, Query
+from csqe.corpus import Document, Query, tokenize
 from csqe.errors import BackendError
 from csqe.expansion import (
     EXAMPLE_ANSWER,
@@ -295,6 +296,24 @@ def test_compose_token_arithmetic(query, expansions):
         expected = len(query.split())
     assert len(composed.split()) == expected
 
+
+
+_WORDS = ["sharks", "shark", "the", "warm", "running", "ran", "ΑΣ", "İstanbul", "co-op", "x1"]
+_TEXT = st.one_of(st.text(max_size=30),
+                  st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join))
+
+
+@settings(max_examples=200, deadline=None)
+@given(query=_TEXT.filter(bool), expansions=st.lists(_TEXT, min_size=1, max_size=5))
+def test_compose_term_counts_are_the_repeated_query_plus_the_expansions(query, expansions):
+    composed = Counter(tokenize(compose_expanded_query(query, expansions)))
+    expected = Counter()
+    for _ in expansions:
+        expected.update(tokenize(query))
+    for expansion in expansions:
+        expected.update(tokenize(expansion))
+    assert composed == expected
+    assert compose_expanded_query(query, []) == query
 
 # -- pipelines ----------------------------------------------------------------------
 

@@ -55,9 +55,14 @@ def test_build_index_rejects_duplicate_ids():
 
 
 def test_postings_sorted_and_df_consistent(shark_index):
-    for term, plist in shark_index.postings.items():
-        assert plist == sorted(plist)
-        assert shark_index.df(term) == len(plist)
+    index = shark_index
+    assert index.terms == sorted(set(index.terms))
+    assert index.offsets[0] == 0
+    assert index.offsets[-1] == len(index.ordinals) == len(index.tfs)
+    for slot, term in enumerate(index.terms):
+        run = list(index.ordinals[index.offsets[slot]:index.offsets[slot + 1]])
+        assert run == sorted(set(run))  # ascending, each document once
+        assert index.df(term) == len(run) > 0
 
 
 # -- term scores (single-term searches) ------------------------------------------
@@ -299,48 +304,67 @@ def test_load_rejects_truncated_payload(tmp_path, shark_docs):
 
 # the documented on-disk layout, restated here so the tests pin it
 MAGIC = b"CSQEIDX1"
-HEADER = struct.Struct("<dd5Q")  # k1, b, byte size of each of the five sections
+HEADER = struct.Struct("<dd2Q4Q4B")  # k1, b, stream sizes, array counts, array widths
+BODY = len(MAGIC) + 4 + HEADER.size
+FORMATS = {1: "B", 2: "H", 4: "I"}
 
 
-def _payload(path):
-    return zlib.decompress(path.read_bytes()[len(MAGIC) + 4:])
+def _read(path):
+    """(k1, b, strings stream, the four arrays, their widths) of a v3 file."""
+    data = path.read_bytes()
+    k1, b, text_size, _array_size, *shape = HEADER.unpack_from(data, len(MAGIC) + 4)
+    strings = zlib.decompress(data[BODY:BODY + text_size])
+    raw = zlib.decompress(data[BODY + text_size:])
+    arrays, offset = [], 0
+    for count, width in zip(shape[:4], shape[4:]):
+        arrays.append(list(struct.unpack_from(f"<{count}{FORMATS[width]}", raw, offset)))
+        offset += count * width
+    return k1, b, strings, arrays, shape[4:]
 
 
-def _write_payload(path, payload):
-    path.write_bytes(MAGIC + struct.pack("<I", 2) + zlib.compress(payload))
+def _write(path, k1, b, strings, arrays, widths):
+    raw = b"".join(struct.pack(f"<{len(a)}{FORMATS[w]}", *a) for a, w in zip(arrays, widths))
+    streams = [zlib.compress(strings), zlib.compress(raw)]
+    path.write_bytes(MAGIC + struct.pack("<I", 3)
+                     + HEADER.pack(k1, b, *map(len, streams), *map(len, arrays), *widths)
+                     + b"".join(streams))
 
 
-def _split(payload):
-    k1, b, *sizes = HEADER.unpack_from(payload)
-    sections, offset = [], HEADER.size
-    for size in sizes:
-        sections.append(payload[offset:offset + size])
-        offset += size
-    return k1, b, sections
-
-
-def _u32s(raw):
-    return list(struct.unpack(f"<{len(raw) // 4}I", raw))
-
-
-def test_saved_file_has_the_documented_v2_layout(tmp_path):
+def test_saved_file_has_the_documented_v3_layout(tmp_path):
     docs = [Document("d1", "cold"), Document("d2", "shark"), Document("d3", "shark warm shark"),
             Document("d4", "shark")]
     path = tmp_path / "toy.bin"
     build_index(docs, k1=1.5, b=0.25).save(str(path))
-    assert path.read_bytes()[:12] == MAGIC + struct.pack("<I", 2)
-    payload = _payload(path)
-    k1, b, sections = _split(payload)
+    data = path.read_bytes()
+    assert data[:12] == MAGIC + struct.pack("<I", 3)
+    k1, b, text_size, array_size, *shape = HEADER.unpack_from(data, 12)
     assert (k1, b) == (1.5, 0.25)
-    assert HEADER.size + sum(map(len, sections)) == len(payload)
-    assert json.loads(sections[0]) == [
-        ["d1", "d2", "d3", "d4"], [d.text for d in docs], ["cold", "shark", "warm"]
+    assert BODY + text_size + array_size == len(data)
+    strings = json.dumps([["d1", "d2", "d3", "d4"], [d.text for d in docs],
+                          ["cold", "shark", "warm"]], separators=(",", ":")).encode()
+    assert data[BODY:BODY + text_size] == zlib.compress(strings, 5)
+    arrays = [
+        [1, 1, 3, 1],  # doc_lens
+        [1, 3, 1],  # dfs of cold, shark, warm
+        # ordinals: cold 0; shark 1, 2, 3; warm 2 -- each list gap-coded on its own
+        [0, 1, 1, 1, 2],
+        [1, 1, 2, 1, 1],  # tfs
     ]
-    assert _u32s(sections[1]) == [1, 1, 3, 1]  # doc_lens
-    assert _u32s(sections[2]) == [1, 3, 1]  # dfs of cold, shark, warm
-    # ordinals: cold 0; shark 1, 2, 3; warm 2 -- each list gap-coded on its own
-    assert _u32s(sections[3]) == [0, 1, 1, 1, 2]
-    assert _u32s(sections[4]) == [1, 1, 2, 1, 1]  # tfs
+    assert shape == [4, 3, 5, 5, 1, 1, 1, 1]
+    assert data[BODY + text_size:] == zlib.compress(bytes(sum(arrays, [])), 6)
+
+
+def test_saved_arrays_take_the_narrowest_width(tmp_path):
+    # doc_lens 300 and 70001 need 4 bytes; tfs up to 70000 need 4; dfs and gaps fit in 1
+    docs = [Document("a", "shark " * 300), Document("b", "warm " * 70000 + "shark")]
+    path = tmp_path / "wide.bin"
+    build_index(docs).save(str(path))
+    _k1, _b, _strings, arrays, widths = _read(path)
+    assert arrays == [[300, 70001], [2, 1], [0, 1, 1], [300, 1, 70000]]
+    assert widths == [4, 1, 1, 4]
+    docs[1] = Document("b", "warm " * 600 + "shark")
+    build_index(docs).save(str(path))
+    assert _read(path)[4] == [2, 1, 1, 2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -357,8 +381,8 @@ def test_save_load_round_trips_exactly(tmp_path_factory, texts, k1, b, query):
     path = tmp_path_factory.mktemp("idx") / "index.bin"
     index.save(str(path))
     loaded = InvertedIndex.load(str(path))
-    assert loaded.postings == index.postings
-    assert all(type(p) is tuple for pl in loaded.postings.values() for p in pl)
+    assert (loaded.terms, loaded.offsets) == (index.terms, index.offsets)
+    assert (loaded.ordinals, loaded.tfs) == (index.ordinals, index.tfs)
     assert (loaded.doc_ids, loaded.doc_lens, loaded.doc_texts) == (
         index.doc_ids, index.doc_lens, index.doc_texts
     )
@@ -367,54 +391,89 @@ def test_save_load_round_trips_exactly(tmp_path_factory, texts, k1, b, query):
         assert loaded.search(text, 10) == index.search(text, 10)
 
 
-def _v1_file(path, payload):
+def _v1_file(path):
     body = json.dumps({"k1": 0.9, "b": 0.4, "doc_ids": [], "doc_lens": [],
                        "doc_texts": [], "postings": {}}).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<I", 1) + zlib.compress(body))
 
 
-def _sizes_off_by_one(path, payload):
-    k1, b, sections = _split(payload)
-    sizes = [len(s) for s in sections]
-    sizes[1] += 1
-    _write_payload(path, HEADER.pack(k1, b, *sizes) + b"".join(sections))
+def _v2_file(path):
+    # the same index in format version 2: one zlib stream of a <dd5Q header,
+    # the strings section and u32 arrays
+    k1, b, strings, arrays, _widths = _read(path)
+    sections = [strings] + [struct.pack(f"<{len(a)}I", *a) for a in arrays]
+    payload = struct.pack("<dd5Q", k1, b, *map(len, sections)) + b"".join(sections)
+    path.write_bytes(MAGIC + struct.pack("<I", 2) + zlib.compress(payload))
 
 
-def _edit_section(i, edit):
-    def corrupt(path, payload):
-        k1, b, sections = _split(payload)
-        sections[i] = edit(sections[i])
-        _write_payload(path, HEADER.pack(k1, b, *map(len, sections)) + b"".join(sections))
+def _stream_sizes_off_by_one(path):
+    data = bytearray(path.read_bytes())
+    k1, b, text_size, array_size, *shape = HEADER.unpack_from(data, 12)
+    HEADER.pack_into(data, 12, k1, b, text_size, array_size + 1, *shape)
+    path.write_bytes(bytes(data))
+
+
+def _edit_arrays(i, edit):
+    def corrupt(path):
+        k1, b, strings, arrays, widths = _read(path)
+        edit(arrays[i])
+        _write(path, k1, b, strings, arrays, widths)
     return corrupt
 
 
 def _bump(position, by):
-    def edit(raw):
-        values = _u32s(raw)
+    def edit(values):
         values[position] += by
-        return struct.pack(f"<{len(values)}I", *values)
     return edit
 
 
-def _header_only_part(path, payload):
-    _write_payload(path, payload[: HEADER.size - 1])
+def _set(position, value):
+    def edit(values):
+        values[position] = value
+    return edit
 
 
+def _strings(raw):
+    def corrupt(path):
+        k1, b, _strings, arrays, widths = _read(path)
+        _write(path, k1, b, raw, arrays, widths)
+    return corrupt
+
+
+def _width(width):
+    def corrupt(path):
+        data = bytearray(path.read_bytes())
+        data[BODY - 4] = width  # doc_lens' width, the first of the four
+        path.write_bytes(bytes(data))
+    return corrupt
+
+
+def _header_only_part(path):
+    path.write_bytes(path.read_bytes()[:BODY - 1])
+
+
+# shark_index: terms cold, shark, warm with dfs 1, 2, 1 and gaps 2; 0 1; 1
 @pytest.mark.parametrize("corrupt, message", [
     (_v1_file, "unsupported index format version 1"),
-    (_sizes_off_by_one, "do not sum"),
+    (_v2_file, "unsupported index format version 2"),
+    (_stream_sizes_off_by_one, "do not sum"),
     # same byte size, but sum(dfs) != number of postings
-    (_edit_section(2, _bump(0, 1)), "section lengths disagree"),
+    (_edit_arrays(1, _bump(0, 1)), "section lengths disagree"),
     # the last posting now points past the last document
-    (_edit_section(3, _bump(-1, 3)), "ordinal out of range"),
-    (_edit_section(0, lambda raw: b"[[not json"), "corrupt index payload"),
+    (_edit_arrays(2, _bump(-1, 3)), "ordinal out of range"),
+    # shark's list becomes d1, d1
+    (_edit_arrays(2, _set(2, 0)), "duplicate ordinal"),
+    (_width(3), "array width 3 is not 1, 2 or 4"),
+    (_width(8), "array width 8 is not 1, 2 or 4"),
+    (_strings(b"[[not json"), "corrupt index payload"),
     (_header_only_part, "truncated header"),
-], ids=["v1", "sizes", "dfs", "ordinal", "strings", "header"])
+], ids=["v1", "v2", "sizes", "dfs", "ordinal", "duplicate", "width3", "width8", "strings",
+        "header"])
 def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys,
                                                    corrupt, message):
     path = tmp_path / "toy.bin"
     shark_index.save(str(path))
-    corrupt(path, _payload(path))
+    corrupt(path)
     with pytest.raises(DataFormatError, match=message):
         InvertedIndex.load(str(path))
     assert main(["search", "--index", str(path), "--query", "shark"]) == 2

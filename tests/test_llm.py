@@ -165,6 +165,15 @@ def test_remote_reads_choices_in_order(stub_server):
     assert request["authorization"] == "Bearer sk-test"
 
 
+
+def test_remote_extra_choices_are_dropped_with_a_warning(stub_server, caplog):
+    endpoint, handler = stub_server
+    handler.script = [(200, _choices("first", "second", "third"))]
+    backend = RemoteBackend(endpoint, api_key="k", backoff=0.0)
+    with caplog.at_level("WARNING", logger="csqe.llm"):
+        assert backend.fetch("p", 1.0, [0, 1]) == ["first", "second"]
+    assert "backend returned 3 choices, expected 2" in caplog.text
+
 def test_remote_retries_server_errors(stub_server):
     endpoint, handler = stub_server
     handler.script = [(500, {"error": "boom"}), (500, {"error": "boom"}), (200, _choices("ok"))]
