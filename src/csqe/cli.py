@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from . import evaluation, expansion, llm, prf
-from .corpus import parse_jsonl_corpus, parse_queries_tsv
+from .corpus import is_single_field, parse_jsonl_corpus, parse_queries_tsv
 from .errors import BackendError, CsqeError, DataFormatError, UsageError
 from .index import DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index
 
@@ -181,6 +181,8 @@ def _resolve_run_config(args) -> dict:
         resolved["n_csqe"] = 0  # KEQE draws no extraction samples
     if resolved["tag"] is None:
         resolved["tag"] = args.method
+    if not is_single_field(str(resolved["tag"])):
+        raise UsageError(f"--tag must be non-empty with no whitespace, got {resolved['tag']!r}")
     if resolved["jobs"] < 1:
         raise UsageError("--jobs must be >= 1")
     if resolved["topk"] < 1:
@@ -286,10 +288,7 @@ def cmd_run(args) -> int:
     else:
         all_hits = [run_query(q) for q in queries]
 
-    rankings = {
-        query.id: [(hit.doc_id, hit.score) for hit in hits]
-        for query, hits in zip(queries, all_hits)
-    }
+    rankings = {query.id: hits for query, hits in zip(queries, all_hits)}
     run_text = evaluation.write_trec_run(rankings, tag=config["tag"])
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(run_text)

@@ -1,9 +1,12 @@
 """Corpus, query and token handling.
 
 File formats:
-    corpus   JSONL, one object per line with string fields "id" and
-             "contents" and an optional "title" (prepended with one space)
-    queries  TSV, ``qid<TAB>query text``
+    corpus   JSONL, one object per line with string fields "id" (no
+             whitespace) and "contents" and an optional "title" (prepended
+             with one space)
+    queries  TSV, ``qid<TAB>query text``; the qid has no whitespace
+
+Each file is split into lines on "\\n" only.
 
 Tokenization is lowercase, split on runs of non-alphanumeric characters,
 stopword removal (bundled English list), then Porter stemming.
@@ -64,15 +67,44 @@ def truncate_whitespace_tokens(text: str, max_tokens: int) -> str:
     return " ".join(text.split()[:max_tokens])
 
 
+def is_single_field(text: str) -> bool:
+    """True when ``text`` is non-empty and has no whitespace (``str.isspace``).
+
+    Ids and run tags are written as fields of whitespace-separated lines, so
+    each must stay one field when such a line is split.
+    """
+    return text.split() == [text]
+
+
 def _iter_lines(stream: Union[IO, Iterable], kind: str) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, text)`` pairs; ``kind`` names the file in errors."""
-    for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataFormatError(f"{kind} line {lineno}: not valid UTF-8") from exc
-        yield lineno, raw
+    """Yield ``(line number, text)`` pairs; ``kind`` names the file in errors.
+
+    A stream with ``read`` is read and decoded once and split on ``"\\n"``
+    only, so ``"\\r"``, form feeds, U+0085 and U+2028 stay inside their
+    line. Any other iterable gives one line per item. On bytes that are not
+    UTF-8 the lines before the bad one are yielded first, then
+    ``DataFormatError`` names the bad line.
+    """
+    read = getattr(stream, "read", None)
+    if read is None:
+        for lineno, raw in enumerate(stream, start=1):
+            if isinstance(raw, bytes):
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataFormatError(f"{kind} line {lineno}: not valid UTF-8") from exc
+            yield lineno, raw
+        return
+    data = read()
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # a multi-byte sequence never spans b"\n", so the lines before this one are valid
+            good = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8").split("\n")[:-1]
+            yield from enumerate(good, start=1)
+            raise DataFormatError(f"{kind} line {len(good) + 1}: not valid UTF-8") from exc
+    yield from enumerate(data.split("\n"), start=1)
 
 
 def parse_jsonl_corpus(stream: Union[IO, Iterable]) -> list[Document]:
@@ -80,9 +112,10 @@ def parse_jsonl_corpus(stream: Union[IO, Iterable]) -> list[Document]:
 
     Raises:
         DataFormatError: on bytes that are not UTF-8, malformed JSON, or a
-            missing/invalid field (including a lone surrogate escape, which
-            cannot be written back as UTF-8); the message carries the line
-            number. Duplicate document ids are left to ``build_index``.
+            missing/invalid field (including an id with whitespace, and a
+            lone surrogate escape, which cannot be written back as UTF-8);
+            the message carries the line number. Duplicate document ids are
+            left to ``build_index``.
     """
     docs: list[Document] = []
     for lineno, line in _iter_lines(stream, "corpus"):
@@ -99,6 +132,8 @@ def parse_jsonl_corpus(stream: Union[IO, Iterable]) -> list[Document]:
         contents = obj.get("contents")
         if not isinstance(doc_id, str) or not doc_id:
             raise DataFormatError(f"corpus line {lineno}: missing or empty string field 'id'")
+        if not is_single_field(doc_id):
+            raise DataFormatError(f"corpus line {lineno}: field 'id' contains whitespace")
         if not isinstance(contents, str):
             raise DataFormatError(f"corpus line {lineno}: missing string field 'contents'")
         title = obj.get("title")
@@ -120,8 +155,8 @@ def parse_queries_tsv(stream: Union[IO, Iterable]) -> list[Query]:
     """Parse ``qid<TAB>text`` lines into queries.
 
     Raises:
-        DataFormatError: on a line without a tab, an empty id or text, or a
-            duplicate query id.
+        DataFormatError: on a line without a tab, an empty id or text, an
+            id with whitespace, or a duplicate query id.
     """
     queries: list[Query] = []
     seen: set[str] = set()
@@ -136,6 +171,8 @@ def parse_queries_tsv(stream: Union[IO, Iterable]) -> list[Query]:
         text = text.strip()
         if not qid:
             raise DataFormatError(f"queries line {lineno}: empty query id")
+        if not is_single_field(qid):
+            raise DataFormatError(f"queries line {lineno}: query id '{qid}' contains whitespace")
         if not text:
             raise DataFormatError(f"queries line {lineno}: empty query text")
         if qid in seen:

@@ -10,12 +10,19 @@ One divergence: documents whose run-file scores tie keep their file order
 (``parse_trec_run`` sorts stably), while trec_eval orders tied documents by
 docno, descending. On a run with tied scores the two can report different
 values.
+
+Run and qrels files are split into lines on ``"\\n"`` only, and each line
+into fields on whitespace, so query ids, document ids and run tags contain
+no whitespace (``csqe`` refuses such ids in corpus and query files, and
+such a tag). A run score that is not a number, NaN included, is an error
+that names its line.
 """
 
 import json
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 
 from .corpus import _iter_lines
@@ -70,10 +77,13 @@ class RunFile:
 def write_trec_run(rankings: Mapping[str, Sequence[tuple[str, float]]], tag: str = "run") -> str:
     """Render rankings as ``qid Q0 docid rank score tag`` lines."""
     lines = []
-    for qid in rankings:
-        for rank, (docid, score) in enumerate(rankings[qid], start=1):
-            lines.append(f"{qid} Q0 {docid} {rank} {score:.6f} {tag}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    tail = f" {tag}\n".replace("%", "%%")
+    for qid, hits in rankings.items():
+        # one %-template per query; a "%" in the query id or tag is doubled to print as itself
+        template = str(qid).replace("%", "%%") + " Q0 %s %d %.6f" + tail
+        lines.extend([template % (docid, rank, score)
+                      for rank, (docid, score) in enumerate(hits, start=1)])
+    return "".join(lines)
 
 
 def parse_trec_run(stream: Union[IO, Iterable]) -> RunFile:
@@ -81,28 +91,32 @@ def parse_trec_run(stream: Union[IO, Iterable]) -> RunFile:
 
     The sort is stable so documents whose printed scores collide keep their
     file order (trec_eval would order them by docno, descending); duplicate
-    documents within a query are an error.
+    documents within a query and NaN scores are errors.
     """
-    rankings: dict[str, list[tuple[str, float]]] = {}
-    seen: dict[str, set] = {}
+    by_query: dict[str, dict[str, float]] = {}  # qid -> docid -> score, in file order
+    qid = docs = None
     for lineno, line in _iter_lines(stream, "run"):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 6:
+        try:
+            line_qid, _q0, docid, _rank, score_str, _tag = line.split()
+        except ValueError:
+            parts = line.split()
+            if not parts:
+                continue
             raise DataFormatError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
-        qid, _q0, docid, _rank, score_str, _tag = parts
+        if line_qid != qid:
+            qid = line_qid
+            docs = by_query.setdefault(qid, {})
         try:
             score = float(score_str)
         except ValueError:
+            score = math.nan
+        if score != score:  # not a number, or NaN, which compares false with every score
             raise DataFormatError(f"run line {lineno}: score '{score_str}' is not a number")
-        if docid in seen.setdefault(qid, set()):
+        # float() made a new object, so getting any other one back means docid was there
+        if docs.setdefault(docid, score) is not score:
             raise DataFormatError(f"run line {lineno}: duplicate doc '{docid}' for query '{qid}'")
-        seen[qid].add(docid)
-        rankings.setdefault(qid, []).append((docid, score))
-    for qid in rankings:
-        rankings[qid].sort(key=lambda pair: -pair[1])
-    return RunFile(rankings)
+    return RunFile({qid: sorted(docs.items(), key=itemgetter(1), reverse=True)
+                    for qid, docs in by_query.items()})
 
 
 # -- metrics ---------------------------------------------------------------

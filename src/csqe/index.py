@@ -41,9 +41,9 @@ import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import Document, tokenize
 from .errors import DataFormatError
@@ -61,8 +61,9 @@ _TEXT_LEVEL = 5  # the texts are most of the file and of the time save spends co
 _ARRAY_LEVEL = 6
 
 
-@dataclass(frozen=True, slots=True)  # slots: a run builds up to depth-many per query
-class ScoredHit:
+class ScoredHit(NamedTuple):
+    """One ranked document; unpacks as the ``(doc_id, score)`` pair a run file takes."""
+
     doc_id: str
     score: float
 
@@ -153,7 +154,10 @@ class InvertedIndex:
         # doc-id order first, then a stable sort by score: ties stay in doc-id order
         ranked = sorted(scores, key=self._id_rank.__getitem__)
         ranked.sort(key=scores.__getitem__, reverse=True)
-        return [ScoredHit(self.doc_ids[o], scores[o]) for o in ranked[:k]]
+        top = ranked[:k]
+        # tuple.__new__ is ScoredHit._make without a Python call per hit
+        return list(map(tuple.__new__, repeat(ScoredHit),
+                        zip(map(self.doc_ids.__getitem__, top), map(scores.__getitem__, top))))
 
     def search(self, query_text: str, k: int) -> list[ScoredHit]:
         """Top-k BM25 search. Duplicate query tokens act as integer weights."""

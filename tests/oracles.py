@@ -2,11 +2,15 @@
 
 Everything here recomputes results directly from the defining formulas on
 plain Python structures and shares no code with the package modules it
-checks.
+checks, apart from the error and result types the run-file parser returns.
 """
 
 import math
 from collections import Counter
+from typing import IO, Iterable, Iterator, Union
+
+from csqe.errors import DataFormatError
+from csqe.evaluation import RunFile
 
 
 def bm25_scores(doc_token_lists, query_tokens, k1=0.9, b=0.4):
@@ -136,3 +140,50 @@ def recall_oracle(ranking, judged, k, rel_threshold=1):
     if not relevant:
         return None
     return sum(1 for d in relevant if d in ranking[:k]) / len(relevant)
+
+
+# -- run-file parser oracle --------------------------------------------------
+#
+# The line-by-line parser that the one-pass ``csqe.evaluation.parse_trec_run``
+# replaced, kept verbatim: the stream is iterated line by line, each line
+# decoded on its own, and each query's pairs re-sorted with a negated key.
+
+
+def _iter_lines(stream: Union[IO, Iterable], kind: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, text)`` pairs; ``kind`` names the file in errors."""
+    for lineno, raw in enumerate(stream, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{kind} line {lineno}: not valid UTF-8") from exc
+        yield lineno, raw
+
+
+def parse_trec_run(stream: Union[IO, Iterable]) -> RunFile:
+    """Parse a TREC run file, re-sorting each query by score descending.
+
+    The sort is stable so documents whose printed scores collide keep their
+    file order (trec_eval would order them by docno, descending); duplicate
+    documents within a query are an error.
+    """
+    rankings: dict[str, list[tuple[str, float]]] = {}
+    seen: dict[str, set] = {}
+    for lineno, line in _iter_lines(stream, "run"):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 6:
+            raise DataFormatError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
+        qid, _q0, docid, _rank, score_str, _tag = parts
+        try:
+            score = float(score_str)
+        except ValueError:
+            raise DataFormatError(f"run line {lineno}: score '{score_str}' is not a number")
+        if docid in seen.setdefault(qid, set()):
+            raise DataFormatError(f"run line {lineno}: duplicate doc '{docid}' for query '{qid}'")
+        seen[qid].add(docid)
+        rankings.setdefault(qid, []).append((docid, score))
+    for qid in rankings:
+        rankings[qid].sort(key=lambda pair: -pair[1])
+    return RunFile(rankings)

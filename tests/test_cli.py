@@ -213,12 +213,51 @@ _TOY_RUN_SHA256 = {
 }
 
 
+# sha256 of `csqe eval --json` (default metrics) on the toy run of each method
+_TOY_EVAL_JSON_SHA256 = {
+    "bm25": "748ff5de29788b18c4391f05117b0092d73ddda8ee662099e0c42452b6365911",
+    "rm3": "6a75a4ccf54057ee6fdf4be4677bf79f8ddf72b11cdb0e4f593ab07ba44e190c",
+    "keqe": "8200e9c524d510dd2af8865740aea51fdac92887a54eaff50ea924dacda27047",
+    "csqe": "ffb3ddff387574a2f28f1e3afaf4686a2380ba45b81e6ab0fb76c2e7743b5475",
+}
+
+
 @pytest.mark.parametrize("jobs", ["1", "4"])
 @pytest.mark.parametrize("method", sorted(_TOY_RUN_SHA256))
 def test_toy_run_files_match_pinned_digests(toy_index, tmp_path, method, jobs):
     out = tmp_path / f"{method}.txt"
     assert main(_run_args(method, toy_index, out, "--jobs", jobs, *_mock_args())) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _TOY_RUN_SHA256[method]
+
+
+@pytest.mark.parametrize("method", sorted(_TOY_EVAL_JSON_SHA256))
+def test_toy_eval_json_matches_pinned_digests(toy_index, tmp_path, capsys, method):
+    run = tmp_path / f"{method}.txt"
+    assert main(_run_args(method, toy_index, run, *_mock_args())) == 0
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--qrels", str(TOY_DIR / "qrels.txt"), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _TOY_EVAL_JSON_SHA256[method]
+
+
+@pytest.mark.parametrize("tag", ["", "my tag", "tab\tted"])
+def test_run_refuses_a_tag_that_is_empty_or_has_whitespace(toy_index, tmp_path, capsys, tag):
+    output, dump_dir = tmp_path / "r.txt", tmp_path / "dump"
+    rc = main(_run_args("csqe", toy_index, output, *_mock_args(), "--tag", tag,
+                        "--dump-prompts", str(dump_dir)))
+    assert rc == 1
+    assert "usage error: --tag" in capsys.readouterr().err
+    assert not output.exists()
+    assert not dump_dir.exists()
+
+
+def test_run_refuses_a_config_tag_with_whitespace(toy_index, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tag": "my tag"}), encoding="utf-8")
+    output = tmp_path / "r.txt"
+    assert main(_run_args("bm25", toy_index, output, "--config", str(config))) == 1
+    assert "usage error: --tag" in capsys.readouterr().err
+    assert not output.exists()
 
 
 def test_rm3_run_flags(toy_index, tmp_path):

@@ -194,6 +194,22 @@ def test_parse_corpus_rejects_bytes_that_are_not_utf8():
         parse_jsonl_corpus(stream)
 
 
+@pytest.mark.parametrize("doc_id", ["d 1", "d\t1", "d\u20281"])
+def test_parse_corpus_rejects_an_id_with_whitespace(doc_id):
+    line = json.dumps({"id": doc_id, "contents": "x"}, ensure_ascii=False)
+    stream = _bytes_stream('{"id":"ok","contents":"fine"}\n' + line + "\n")
+    with pytest.raises(DataFormatError, match="^corpus line 2: field 'id' contains whitespace$"):
+        parse_jsonl_corpus(stream)
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\x85"])
+@pytest.mark.parametrize("as_text", [False, True])
+def test_parse_corpus_keeps_a_raw_line_separator_inside_its_document(char, as_text):
+    data = '{"id":"a","contents":"one' + char + 'two"}\n{"id":"b","contents":"three"}\n'
+    stream = io.StringIO(data) if as_text else _bytes_stream(data)
+    assert parse_jsonl_corpus(stream) == [Document("a", f"one{char}two"), Document("b", "three")]
+
+
 def test_parse_corpus_accepts_text_stream():
     docs = parse_jsonl_corpus(io.StringIO('{"id":"d1","contents":"x"}\n'))
     assert docs[0].id == "d1"
@@ -234,3 +250,9 @@ def test_parse_queries_missing_tab_reports_line():
 def test_parse_queries_duplicate_id():
     with pytest.raises(DataFormatError, match="q1"):
         parse_queries_tsv(_bytes_stream("q1\ta\nq1\tb\n"))
+
+
+def test_parse_queries_rejects_an_id_with_whitespace():
+    with pytest.raises(DataFormatError,
+                       match="^queries line 2: query id 'q 1' contains whitespace$"):
+        parse_queries_tsv(_bytes_stream("q0\ta\nq 1\tb\n"))

@@ -19,6 +19,7 @@ from csqe.evaluation import (
 )
 
 from oracles import ap_oracle, ndcg_oracle, recall_oracle
+from oracles import parse_trec_run as line_by_line_parse_trec_run
 
 
 def _stream(text):
@@ -287,6 +288,82 @@ def test_tied_scores_keep_file_order_unlike_trec_eval():
     swapped = parse_trec_run(_stream("q1 Q0 b 1 1.500000 x\nq1 Q0 a 2 1.500000 x\n"))
     report = evaluate_run(swapped, qrels, ["ndcg_cut.1", "ndcg_cut.2"])
     assert report.macro == {"ndcg_cut.1": 1.0, "ndcg_cut.2": 1.0}
+
+
+def test_write_trec_run_prints_percent_and_braces_literally():
+    text = write_trec_run({"q%d{0}": [("d%s{}", 1.5)]}, tag="t%%{tag}")
+    assert text == "q%d{0} Q0 d%s{} 1 1.500000 t%%{tag}\n"
+
+
+def test_parse_run_rejects_a_nan_score():
+    text = "q1 Q0 a 1 2.0 x\nq1 Q0 b 2 nan x\nq1 Q0 c 3 3.0 x\nq1 Q0 d 4 1.0 x\n"
+    with pytest.raises(DataFormatError, match="^run line 2: score 'nan' is not a number$"):
+        parse_trec_run(_stream(text))
+
+
+def test_parse_run_checks_the_lines_before_one_that_is_not_utf8():
+    with pytest.raises(DataFormatError, match="^run line 1: expected 6 fields, got 3$"):
+        parse_trec_run(io.BytesIO(b"q1 Q0 d1\nq1 Q0 caf\xe9 1 1.0 t\n"))
+
+
+# Run-like lines for the differential test against the line-by-line parser:
+# a small pool of query and doc ids (so duplicates and interleaved queries
+# occur), scores that tie, are signed or infinite, and separators that
+# str.split() splits on but "\n"-only line splitting must leave inside the
+# line. One line may have a bad field count or score, and one may hold bytes
+# that are not UTF-8. NaN is left out: the old parser accepted it.
+_SEPARATORS = [" ", "  ", "\t", "\r", "\x0c", "\x85", "\u2028"]
+_SCORES = ["1.0", "1.000000", "2.5", "-0.0", "0", "1e3", "1000", "inf", "-inf"]
+
+
+def _fields(scores=st.sampled_from(_SCORES)):
+    return st.tuples(st.sampled_from(["q1", "q2", "q3"]), st.just("Q0"), st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
+                     st.integers(1, 9).map(str), scores, st.just("t")).map(list)
+
+
+def _line(fields):
+    return st.tuples(
+        fields, st.lists(st.sampled_from(_SEPARATORS), min_size=8, max_size=8),
+        st.sampled_from(["\n", "\n", "\r\n"]),
+    ).map(lambda t: "".join(f + sep for f, sep in zip(t[0], t[1])).rstrip(" ") + t[2])
+
+
+_good_line = _line(_fields() | st.just([]))
+_bad_line = _line(_fields(scores=st.sampled_from(["x", "1.0.0", "0x1"]))
+                  | st.lists(st.sampled_from(["q1", "Q0", "d1", "2.5", "é"]), max_size=8))
+
+
+def _outcome(parse, source):
+    try:
+        return "ok", list(parse(source).rankings.items())
+    except DataFormatError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_good_line, max_size=12),
+       bad_line=st.none() | st.tuples(st.integers(0, 12), _bad_line),
+       bad_bytes=st.none() | st.tuples(st.integers(0, 12), st.sampled_from(
+           [b"\xff", b"\xe9 ", b"\xe2\x82", b"\xed\xa0\x80"])),
+       unterminated=st.booleans())
+def test_one_pass_parser_matches_the_line_by_line_parser(lines, bad_line, bad_bytes,
+                                                         unterminated):
+    if bad_line is not None:
+        lines.insert(bad_line[0] % (len(lines) + 1), bad_line[1])
+    if unterminated and lines:
+        lines[-1] = lines[-1].rstrip("\r\n")
+    raw = [line.encode("utf-8") for line in lines]
+    if bad_bytes is not None and raw:
+        at = bad_bytes[0] % len(raw)
+        raw[at] = bad_bytes[1] + raw[at]
+    data = b"".join(raw)
+    sources = [lambda: io.BytesIO(data), lambda: list(raw)]
+    if bad_bytes is None:
+        sources += [lambda: io.StringIO(data.decode("utf-8")), lambda: list(lines)]
+    for source in sources:
+        assert _outcome(parse_trec_run, source()) == _outcome(line_by_line_parse_trec_run,
+                                                              source())
+
 
 # -- evaluate_run ----------------------------------------------------------------------
 
