@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from . import evaluation, expansion, llm, prf
 from .corpus import is_single_field, parse_jsonl_corpus, parse_queries_tsv
 from .errors import BackendError, CsqeError, DataFormatError, UsageError
-from .index import DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index
+from .index import DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index, check_bm25_params
 
 log = logging.getLogger("csqe")
 
@@ -26,25 +26,32 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
 
-# defaults that the run subcommand resolves against flags and the config file
-_RUN_DEFAULTS = {
-    "topk": evaluation.DEFAULT_RUN_DEPTH,
-    "k_feedback": expansion.DEFAULT_K_FEEDBACK,
-    "doc_tokens": expansion.DEFAULT_DOC_TOKEN_BUDGET,
-    "n_keqe": None,  # depends on method: 5 for keqe, 2 for csqe
-    "n_csqe": expansion.DEFAULT_N_CSQE,
-    "fb_docs": prf.DEFAULT_FB_DOCS,
-    "fb_terms": prf.DEFAULT_FB_TERMS,
-    "orig_weight": prf.DEFAULT_ORIGINAL_WEIGHT,
-    "temperature": llm.DEFAULT_TEMPERATURE,
-    "model": llm.DEFAULT_MODEL_ID,
-    "backend": "remote",
-    "endpoint": None,
-    "mock_fixtures": None,
-    "cache_dir": None,
-    "tag": None,
-    "jobs": 1,
+# Each `csqe run` setting once: key -> (type, default, help). The key is the
+# config-file key and, with "-" for "_", the flag; a tuple type lists the allowed
+# values. A default of None is resolved per run (see _resolve_run_config).
+# `csqe run --help` lists the flags in this order.
+_RUN_SETTINGS = {
+    "topk": (int, evaluation.DEFAULT_RUN_DEPTH, "run depth"),
+    "tag": (str, None, "run tag in the output (default: the method name)"),
+    "jobs": (int, 1, "parallel queries"),
+    "k_feedback": (int, expansion.DEFAULT_K_FEEDBACK, "first-pass documents shown to the LLM"),
+    "doc_tokens": (int, expansion.DEFAULT_DOC_TOKEN_BUDGET,
+                   "whitespace-token budget per prompt document"),
+    "n_keqe": (int, None, "hypothetical-passage samples (default: %d for keqe, %d for csqe)"
+               % (expansion.DEFAULT_N_KEQE_ALONE, expansion.DEFAULT_N_KEQE)),
+    "n_csqe": (int, expansion.DEFAULT_N_CSQE, "extraction samples"),
+    "fb_docs": (int, prf.DEFAULT_FB_DOCS, "RM3 feedback documents, an assumed value"),
+    "fb_terms": (int, prf.DEFAULT_FB_TERMS, "RM3 feedback terms, an assumed value"),
+    "orig_weight": (float, prf.DEFAULT_ORIGINAL_WEIGHT,
+                    "RM3 original-query weight, an assumed value"),
+    "backend": (("remote", "mock"), "remote", "generation backend"),
+    "endpoint": (str, None, "chat-completion endpoint URL (remote backend)"),
+    "model": (str, llm.DEFAULT_MODEL_ID, "model identifier"),
+    "temperature": (float, llm.DEFAULT_TEMPERATURE, "sampling temperature"),
+    "mock_fixtures": (str, None, "JSON fixture file for the mock backend"),
+    "cache_dir": (str, None, "generation cache directory"),
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,33 +82,14 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--index", required=True, help="index file from `csqe index`")
     p_run.add_argument("--output", required=True, help="run file to write")
     p_run.add_argument("--config", help="JSON config file (flags still win)")
-    p_run.add_argument("--topk", type=int, help="run depth (default 1000)")
-    p_run.add_argument("--tag", help="run tag in the output (default: the method name)")
-    p_run.add_argument("--jobs", type=int, help="parallel queries (default 1)")
-    p_run.add_argument("--dump-prompts", metavar="DIR",
-                       help="write every prompt and raw response into DIR")
-    p_run.add_argument("--k-feedback", dest="k_feedback", type=int,
-                       help="first-pass documents shown to the LLM (default 10)")
-    p_run.add_argument("--doc-tokens", dest="doc_tokens", type=int,
-                       help="whitespace-token budget per prompt document (default 128)")
-    p_run.add_argument("--n-keqe", dest="n_keqe", type=int,
-                       help="hypothetical-passage samples (default: 5 for keqe, 2 for csqe)")
-    p_run.add_argument("--n-csqe", dest="n_csqe", type=int,
-                       help="extraction samples (default 2)")
-    p_run.add_argument("--fb-docs", dest="fb_docs", type=int,
-                       help="RM3 feedback documents (default 10, assumed)")
-    p_run.add_argument("--fb-terms", dest="fb_terms", type=int,
-                       help="RM3 feedback terms (default 10, assumed)")
-    p_run.add_argument("--orig-weight", dest="orig_weight", type=float,
-                       help="RM3 original-query weight (default 0.5, assumed)")
-    p_run.add_argument("--backend", choices=["remote", "mock"],
-                       help="generation backend (default remote)")
-    p_run.add_argument("--endpoint", help="chat-completion endpoint URL (remote backend)")
-    p_run.add_argument("--model", help="model identifier (default %s)" % llm.DEFAULT_MODEL_ID)
-    p_run.add_argument("--temperature", type=float, help="sampling temperature (default 1.0)")
-    p_run.add_argument("--mock-fixtures", dest="mock_fixtures",
-                       help="JSON fixture file for the mock backend")
-    p_run.add_argument("--cache-dir", dest="cache_dir", help="generation cache directory")
+    for key, (kind, default, text) in _RUN_SETTINGS.items():
+        choices = kind if isinstance(kind, tuple) else None
+        p_run.add_argument("--" + key.replace("_", "-"), type=str if choices else kind,
+                           choices=choices,
+                           help=text if default is None else f"{text} (default {default})")
+        if key == "jobs":  # --help has always listed --dump-prompts here
+            p_run.add_argument("--dump-prompts", metavar="DIR",
+                               help="write every prompt and raw response into DIR")
 
     p_eval = sub.add_parser("eval", help="score a run file against qrels")
     p_eval.add_argument("--run", required=True)
@@ -139,17 +127,33 @@ def _file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-def _manifest_timestamp(input_paths) -> str:
-    """Deterministic for unchanged inputs: SOURCE_DATE_EPOCH, else max input mtime."""
+def _utc_iso(seconds: int) -> str:
+    return datetime.fromtimestamp(seconds, tz=timezone.utc).isoformat()
+
+
+def _source_date_epoch():
+    """SOURCE_DATE_EPOCH as the manifest timestamp, or None when it is unset."""
     env = os.environ.get("SOURCE_DATE_EPOCH")
-    if env:
-        ts = int(env)
-    else:
-        ts = max(int(os.stat(p).st_mtime) for p in input_paths)
-    return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
+    try:
+        return _utc_iso(int(env)) if env else None
+    except (ValueError, OverflowError, OSError):
+        raise UsageError(
+            f"SOURCE_DATE_EPOCH must be a Unix time in whole seconds, got {env!r}") from None
+
+
+def _checked(path: str, key: str, value):
+    """A config-file ``value`` as setting ``key`` takes it; None for JSON null."""
+    kind = _RUN_SETTINGS[key][0]
+    if value is None or type(value) is kind or (isinstance(kind, tuple) and value in kind):
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    expected = f"one of {list(kind)}" if isinstance(kind, tuple) else _TYPE_NAMES[kind]
+    raise DataFormatError(f"config file {path}: {key!r} must be {expected}, got {value!r}")
 
 
 def _resolve_run_config(args) -> dict:
+    """Each run setting from its flag, else the config file, else its default; checked."""
     file_config = {}
     if args.config:
         try:
@@ -159,29 +163,27 @@ def _resolve_run_config(args) -> dict:
             raise DataFormatError(f"config file {args.config}: {exc}")
         if not isinstance(file_config, dict):
             raise DataFormatError(f"config file {args.config}: expected a JSON object")
-        unknown = set(file_config) - set(_RUN_DEFAULTS)
+        unknown = set(file_config) - set(_RUN_SETTINGS)
         if unknown:
-            raise DataFormatError(
-                f"config file {args.config}: unknown keys {sorted(unknown)}"
-            )
+            raise DataFormatError(f"config file {args.config}: unknown keys {sorted(unknown)}")
     resolved = {}
-    for key, default in _RUN_DEFAULTS.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in file_config:
-            resolved[key] = file_config[key]
-        else:
-            resolved[key] = default
+    for key, (_kind, default, _text) in _RUN_SETTINGS.items():
+        flag, from_file = getattr(args, key), _checked(args.config, key, file_config.get(key))
+        resolved[key] = (flag if flag is not None else
+                         from_file if from_file is not None else default)
     if resolved["n_keqe"] is None:
         resolved["n_keqe"] = (
             expansion.DEFAULT_N_KEQE_ALONE if args.method == "keqe" else expansion.DEFAULT_N_KEQE
         )
     if args.method == "keqe":
+        if resolved["n_keqe"] < 1:
+            raise UsageError("--n-keqe must be >= 1 for keqe")
         resolved["n_csqe"] = 0  # KEQE draws no extraction samples
+    if args.method == "csqe" and resolved["n_csqe"] < 1:
+        raise UsageError("--n-csqe must be >= 1 for csqe")
     if resolved["tag"] is None:
         resolved["tag"] = args.method
-    if not is_single_field(str(resolved["tag"])):
+    if not is_single_field(resolved["tag"]):
         raise UsageError(f"--tag must be non-empty with no whitespace, got {resolved['tag']!r}")
     if resolved["jobs"] < 1:
         raise UsageError("--jobs must be >= 1")
@@ -204,6 +206,10 @@ def _build_llm_client(config: dict) -> llm.LlmClient:
 
 
 def cmd_index(args) -> int:
+    try:
+        check_bm25_params(args.k1, args.b)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     with open(args.input, "rb") as fh:
         docs = parse_jsonl_corpus(fh)
     index = build_index(docs, k1=args.k1, b=args.b)
@@ -224,7 +230,7 @@ def cmd_search(args) -> int:
 
 
 def _query_runner(method: str, config: dict, index: InvertedIndex):
-    """Validate ``method``'s settings; return its query runner and LLM client.
+    """Build ``method``'s query runner and LLM client from resolved settings.
 
     The runner maps a ``Query`` and the prompt dump (or None) to its ranked
     hits. The client is None for the methods that need no LLM. KEQE is the
@@ -252,10 +258,6 @@ def _query_runner(method: str, config: dict, index: InvertedIndex):
         return rm3, None
 
     client = _build_llm_client(config)
-    if method == "keqe" and config["n_keqe"] < 1:
-        raise UsageError("--n-keqe must be >= 1 for keqe")
-    if method == "csqe" and config["n_csqe"] < 1:
-        raise UsageError("--n-csqe must be >= 1 for csqe")
     try:
         cfg = expansion.PipelineConfig(
             k_feedback=config["k_feedback"],
@@ -272,6 +274,7 @@ def _query_runner(method: str, config: dict, index: InvertedIndex):
 
 def cmd_run(args) -> int:
     config = _resolve_run_config(args)
+    fixed_time = _source_date_epoch()
     with open(args.queries, "rb") as fh:
         queries = parse_queries_tsv(fh)
     index = InvertedIndex.load(args.index)
@@ -312,7 +315,8 @@ def cmd_run(args) -> int:
         "backend": backend_identity,
         "queries": len(queries),
         "output": os.path.basename(args.output),
-        "timestamp": _manifest_timestamp(input_paths),
+        # deterministic for unchanged inputs: SOURCE_DATE_EPOCH, else the newest input's mtime
+        "timestamp": fixed_time or _utc_iso(max(int(os.stat(p).st_mtime) for p in input_paths)),
     }
     manifest_path = f"{args.output}.manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -323,6 +327,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.rel_threshold < 1:
+        raise UsageError(f"--rel-threshold must be >= 1, got {args.rel_threshold}")
     with open(args.run, "rb") as fh:
         run = evaluation.parse_trec_run(fh)
     with open(args.qrels, "rb") as fh:

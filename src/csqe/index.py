@@ -24,9 +24,10 @@ width of each of the four arrays below), and the two streams:
    one before); posting tfs, aligned with the ordinals. Each array is 1, 2
    or 4 bytes wide, the narrowest that holds its largest value.
 
-``load`` checks that the stream sizes add up to the file, that the array
-widths and lengths agree, and that every postings list names distinct
-documents that exist, and raises ``DataFormatError`` otherwise. Files of
+``load`` checks that k1 and b pass ``check_bm25_params``, that the stream
+sizes add up to the file, that the array widths and lengths agree, and that
+every postings list names distinct documents that exist, and raises
+``DataFormatError`` otherwise. Files of
 earlier format versions are refused with ``unsupported index format
 version <n>``.
 """
@@ -59,6 +60,22 @@ _TYPECODES = {array(code).itemsize: code for code in "LIHB"}  # byte width -> ty
 _U32 = _TYPECODES[4]
 _TEXT_LEVEL = 5  # the texts are most of the file and of the time save spends compressing
 _ARRAY_LEVEL = 6
+
+
+def check_bm25_params(k1: float, b: float) -> None:
+    """Refuse a k1 that is not finite or is negative, and a b outside [0, 1].
+
+    A NaN or infinite k1 or b makes every score NaN; a negative k1 zeroes or
+    reorders the scores; a b above 1 can make a length norm negative and a
+    score divide by zero.
+
+    Raises:
+        ValueError: naming the parameter and its value.
+    """
+    if not (math.isfinite(k1) and k1 >= 0.0):
+        raise ValueError(f"k1 must be finite and >= 0, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must be >= 0 and <= 1, got {b}")
 
 
 class ScoredHit(NamedTuple):
@@ -222,6 +239,7 @@ class InvertedIndex:
             )
         view = memoryview(data)
         try:
+            check_bm25_params(k1, b)
             strings = json.loads(zlib.decompress(view[body:body + text_size]))
             if not (isinstance(strings, list) and len(strings) == 3 and all(
                     isinstance(part, list) and all(isinstance(s, str) for s in part)
@@ -287,8 +305,10 @@ def build_index(
     """Tokenize and index a document collection.
 
     Raises:
+        ValueError: on a k1 or b that ``check_bm25_params`` refuses.
         DataFormatError: on an empty collection or duplicate document ids.
     """
+    check_bm25_params(k1, b)
     if not docs:
         raise DataFormatError("cannot build an index over an empty collection")
     seen: set[str] = set()

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import re
 
 import pytest
 
-from csqe.cli import main
+from csqe.cli import _RUN_SETTINGS, main
 from csqe.errors import BackendError
 from csqe.expansion import build_keqe_prompt
 from csqe.llm import GenerationCache, RemoteBackend
@@ -145,6 +146,19 @@ def test_index_rejects_a_duplicate_document_id_as_data_error(tmp_path, capsys):
     assert main(["index", "--input", str(corpus), "--output", str(output)]) == 2
     assert "duplicate document id 'd1'" in capsys.readouterr().err
     assert not output.exists()
+
+@pytest.mark.parametrize("flag, value", [
+    ("--k1", "nan"), ("--k1", "inf"), ("--k1", "-1"), ("--k1", "-0.5"),
+    ("--b", "nan"), ("--b", "inf"), ("--b", "-0.5"), ("--b", "3"),
+])
+def test_index_refuses_bm25_parameters_that_break_scoring(tmp_path, capsys, flag, value):
+    output = tmp_path / "index.bin"
+    rc = main(["index", "--input", str(TOY_DIR / "corpus.jsonl"), "--output", str(output),
+               flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {flag[2:]} must")
+    assert not output.exists()
+
 
 # -- search subcommand --------------------------------------------------------------
 
@@ -306,6 +320,134 @@ def test_config_file_unknown_key_is_data_error(toy_index, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("method, setting", [
+    ("bm25", {"topk": "10"}),
+    ("bm25", {"topk": True}),
+    ("bm25", {"jobs": 2.5}),
+    ("bm25", {"tag": 5}),
+    ("rm3", {"orig_weight": "0.5"}),
+    ("rm3", {"fb_docs": 2.5}),
+    ("csqe", {"temperature": "hot"}),
+    ("csqe", {"doc_tokens": 1.5}),
+    ("csqe", {"cache_dir": 5}),
+    ("csqe", {"backend": "grpc"}),
+])
+def test_config_value_of_the_wrong_type_is_data_error(toy_index, tmp_path, capsys,
+                                                      method, setting):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(setting), encoding="utf-8")
+    output = tmp_path / "r.txt"
+    backend = [] if "backend" in setting else _mock_args()
+    assert main(_run_args(method, toy_index, output, "--config", str(config), *backend)) == 2
+    (key,) = setting
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: config file {config}: {key!r} must be")
+    assert not output.exists()
+
+
+def test_config_value_of_the_wrong_type_is_refused_under_a_flag(toy_index, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"topk": "10"}), encoding="utf-8")
+    output = tmp_path / "r.txt"
+    assert main(_run_args("bm25", toy_index, output, "--config", str(config), "--topk", "5")) == 2
+    assert "'topk' must be an integer, got '10'" in capsys.readouterr().err
+    assert not output.exists()
+
+
+def test_config_temperature_given_as_an_integer_replays_the_flag_s_cache(toy_index, tmp_path):
+    cache_dir = tmp_path / "cache"
+    first = tmp_path / "flag.txt"
+    assert main(_run_args("csqe", toy_index, first, "--temperature", "1",
+                          "--cache-dir", str(cache_dir), *_mock_args())) == 0
+    assert GenerationCache(cache_dir).stats()["entries"] == 20
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"temperature": 1, "cache_dir": str(cache_dir)}), encoding="utf-8")
+    second = tmp_path / "config.txt"
+    assert main(_run_args("csqe", toy_index, second, "--config", str(config), *_mock_args())) == 0
+    assert GenerationCache(cache_dir).stats()["entries"] == 20
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_config_null_means_not_set(toy_index, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"jobs": None, "topk": None}), encoding="utf-8")
+    out = tmp_path / "bm25.txt"
+    assert main(_run_args("bm25", toy_index, out, "--config", str(config))) == 0
+    manifest = json.loads((tmp_path / "bm25.txt.manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["config"]["jobs"], manifest["config"]["topk"]) == (1, 1000)
+
+
+# the `config` block of each toy manifest as JSON text, so that 1 against 1.0 shows
+_TOY_MANIFEST_CONFIG = {
+    method: (
+        '{"backend": "mock", "cache_dir": null, "doc_tokens": 128, "endpoint": null, '
+        '"fb_docs": 10, "fb_terms": 10, "jobs": 1, "k_feedback": 10, '
+        '"mock_fixtures": "<fixtures>", "model": "gpt-3.5-turbo", '
+        f'"n_csqe": {n_csqe}, "n_keqe": {n_keqe}, "orig_weight": 0.5, "tag": "{method}", '
+        '"temperature": 1.0, "topk": 1000}'
+    )
+    for method, n_csqe, n_keqe in [("bm25", 2, 2), ("rm3", 2, 2), ("keqe", 0, 5), ("csqe", 2, 2)]
+}
+
+
+@pytest.mark.parametrize("method", sorted(_TOY_MANIFEST_CONFIG))
+def test_toy_manifest_config_block_matches_pinned_text(toy_index, tmp_path, method):
+    out = tmp_path / f"{method}.txt"
+    assert main(_run_args(method, toy_index, out, *_mock_args())) == 0
+    config = json.loads((tmp_path / f"{method}.txt.manifest.json").read_text(encoding="utf-8"))
+    config = config["config"]
+    assert config["mock_fixtures"] == str(TOY_DIR / "fixtures.json")
+    config["mock_fixtures"] = "<fixtures>"
+    assert json.dumps(config, sort_keys=True) == _TOY_MANIFEST_CONFIG[method]
+
+
+@pytest.mark.parametrize("method", ["bm25", "rm3", "keqe", "csqe"])
+def test_manifest_config_fed_back_as_config_file_reproduces_the_run(toy_index, tmp_path,
+                                                                    method):
+    first = tmp_path / "flags" / f"{method}.txt"
+    first.parent.mkdir()
+    assert main(_run_args(method, toy_index, first, *_mock_args())) == 0
+    manifest = first.with_name(first.name + ".manifest.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(json.loads(manifest.read_text(encoding="utf-8"))["config"]),
+                      encoding="utf-8")
+    again = tmp_path / "config" / f"{method}.txt"
+    again.parent.mkdir()
+    assert main(_run_args(method, toy_index, again, "--config", str(config))) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert again.with_name(again.name + ".manifest.json").read_bytes() == manifest.read_bytes()
+
+
+def test_run_refuses_a_source_date_epoch_that_is_not_an_integer(toy_index, tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    output = tmp_path / "r.txt"
+    assert main(_run_args("bm25", toy_index, output)) == 1
+    assert capsys.readouterr().err.startswith("usage error: SOURCE_DATE_EPOCH")
+    assert not output.exists()
+
+
+def test_run_help_lists_every_setting_with_its_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = capsys.readouterr().out
+    options = out[out.index("  -h, --help"):]
+    flags = re.findall(r"^  (--[\w-]+)", options, re.MULTILINE)
+    assert flags == [
+        "--method", "--queries", "--index", "--output", "--config", "--topk", "--tag",
+        "--jobs", "--dump-prompts", "--k-feedback", "--doc-tokens", "--n-keqe", "--n-csqe",
+        "--fb-docs", "--fb-terms", "--orig-weight", "--backend", "--endpoint", "--model",
+        "--temperature", "--mock-fixtures", "--cache-dir",
+    ]
+    text = " ".join(options.split())  # undo argparse's line wrapping
+    for key, (_kind, default, _text) in _RUN_SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        assert flag in flags
+        if default is not None:
+            help_text = re.search(rf"{flag} \S+ (.*?)(?= --|$)", text).group(1)
+            assert f"(default {default})" in help_text, flag
+
+
 def test_dump_prompts_writes_audit_files(toy_index, tmp_path):
     dump_dir = tmp_path / "dump"
     out = tmp_path / "csqe.txt"
@@ -350,6 +492,15 @@ def test_run_with_cache_then_cache_subcommands(toy_index, tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
     assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
     assert GenerationCache(cache_dir).stats()["entries"] == 0
+
+
+@pytest.mark.parametrize("threshold", ["0", "-1"])
+def test_eval_refuses_a_rel_threshold_below_one_before_reading_files(tmp_path, capsys,
+                                                                      threshold):
+    rc = main(["eval", "--run", str(tmp_path / "missing.txt"), "--qrels",
+               str(tmp_path / "missing-qrels.txt"), "--rel-threshold", threshold])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error: --rel-threshold must be >= 1")
 
 
 def test_eval_table_and_json_output(toy_index, tmp_path, capsys):

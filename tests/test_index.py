@@ -257,6 +257,15 @@ def test_search_is_deterministic(shark_index):
 # -- persistence -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("k1, b", [
+    (math.nan, 0.4), (math.inf, 0.4), (-0.5, 0.4), (0.9, math.nan), (0.9, -math.inf),
+    (0.9, -0.1), (0.9, 1.5),
+])
+def test_build_index_refuses_bm25_parameters_that_break_scoring(shark_docs, k1, b):
+    with pytest.raises(ValueError, match="k1 must be finite|b must be >= 0"):
+        build_index(shark_docs, k1=k1, b=b)
+
+
 def test_save_load_round_trip(tmp_path, shark_docs):
     index = build_index(shark_docs, k1=1.2, b=0.75)
     path = tmp_path / "toy.bin"
@@ -448,6 +457,15 @@ def _width(width):
     return corrupt
 
 
+def _bm25_params(k1, b):
+    def corrupt(path):
+        data = bytearray(path.read_bytes())
+        _k1, _b, *rest = HEADER.unpack_from(data, 12)
+        HEADER.pack_into(data, 12, k1, b, *rest)
+        path.write_bytes(bytes(data))
+    return corrupt
+
+
 def _header_only_part(path):
     path.write_bytes(path.read_bytes()[:BODY - 1])
 
@@ -467,8 +485,14 @@ def _header_only_part(path):
     (_width(8), "array width 8 is not 1, 2 or 4"),
     (_strings(b"[[not json"), "corrupt index payload"),
     (_header_only_part, "truncated header"),
+    (_bm25_params(math.nan, 0.4), "k1 must be finite and >= 0, got nan"),
+    (_bm25_params(math.inf, 0.4), "k1 must be finite and >= 0, got inf"),
+    (_bm25_params(-1.0, 0.4), "k1 must be finite and >= 0, got -1.0"),
+    (_bm25_params(0.9, math.nan), "b must be >= 0 and <= 1, got nan"),
+    (_bm25_params(0.9, math.inf), "b must be >= 0 and <= 1, got inf"),
+    (_bm25_params(0.9, 3.0), "b must be >= 0 and <= 1, got 3.0"),
 ], ids=["v1", "v2", "sizes", "dfs", "ordinal", "duplicate", "width3", "width8", "strings",
-        "header"])
+        "header", "k1-nan", "k1-inf", "k1-negative", "b-nan", "b-inf", "b-above-1"])
 def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys,
                                                    corrupt, message):
     path = tmp_path / "toy.bin"
