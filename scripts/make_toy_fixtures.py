@@ -170,13 +170,14 @@ def main() -> int:
             )
             for doc_id in ranked_ids
         ]
-        relevant = [d for d, g in sorted(qrels.for_query(query.id).items()) if g > 0]
+        grades = qrels.judgments.get(query.id, {})
+        relevant = [d for d, g in sorted(grades.items()) if g > 0]
         missing = [d for d in relevant if d not in ranked_ids]
         assert not missing, f"{query.id}: relevant docs {missing} not in the first pass"
 
         sections_all = []
         sections_top = []
-        best = max(relevant, key=lambda d: qrels.grade(query.id, d))
+        best = max(relevant, key=grades.__getitem__)
         for doc_id in relevant:
             position = ranked_ids.index(doc_id) + 1
             sections_all.append((position, KEY_SENTENCES[doc_id]))

@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -167,10 +168,13 @@ def _resolve_run_config(args) -> dict:
         if unknown:
             raise DataFormatError(f"config file {args.config}: unknown keys {sorted(unknown)}")
     resolved = {}
-    for key, (_kind, default, _text) in _RUN_SETTINGS.items():
+    for key, (kind, default, _text) in _RUN_SETTINGS.items():
         flag, from_file = getattr(args, key), _checked(args.config, key, file_config.get(key))
         resolved[key] = (flag if flag is not None else
                          from_file if from_file is not None else default)
+        if kind is float and not math.isfinite(resolved[key]):  # the manifest must stay JSON
+            raise UsageError(f"--{key.replace('_', '-')} must be a finite number, "
+                             f"got {resolved[key]}")
     if resolved["n_keqe"] is None:
         resolved["n_keqe"] = (
             expansion.DEFAULT_N_KEQE_ALONE if args.method == "keqe" else expansion.DEFAULT_N_KEQE
@@ -200,7 +204,10 @@ def _build_llm_client(config: dict) -> llm.LlmClient:
     else:
         if not config["endpoint"]:
             raise UsageError("--backend remote requires --endpoint")
-        backend = llm.RemoteBackend(endpoint=config["endpoint"], model_id=config["model"])
+        try:
+            backend = llm.RemoteBackend(endpoint=config["endpoint"], model_id=config["model"])
+        except ValueError as exc:
+            raise UsageError(str(exc))
     cache = llm.GenerationCache(config["cache_dir"]) if config["cache_dir"] else None
     return llm.LlmClient(backend, cache=cache)
 

@@ -40,12 +40,6 @@ class Qrels:
 
     judgments: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def grade(self, query_id: str, doc_id: str) -> int:
-        return self.judgments.get(query_id, {}).get(doc_id, 0)
-
-    def for_query(self, query_id: str) -> dict[str, int]:
-        return self.judgments.get(query_id, {})
-
 
 def parse_qrels(stream: Union[IO, Iterable]) -> Qrels:
     """Parse ``qid 0 docid grade`` lines; later duplicates overwrite."""

@@ -17,6 +17,7 @@ scoring.
 
 import json
 import logging
+import math
 import re
 import threading
 from dataclasses import dataclass
@@ -264,8 +265,8 @@ class PipelineConfig:
             raise ValueError("sample counts must be >= 0")
         if self.n_keqe + self.n_csqe < 1:
             raise ValueError("need at least one generation (n_keqe + n_csqe >= 1)")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
 
 
 class PromptDump:

@@ -12,10 +12,12 @@ list of such ``(prompt, temperature, ordinals)`` jobs and returns each job's
 outcome in job order: its texts, or the exception its fetch raised.
 
 * ``RemoteBackend`` posts a chat-completion request
-  ``{model, messages:[{role:"user",content:prompt}], temperature, n}`` and
+  ``{model, messages:[{role:"user",content:prompt}], temperature, n}`` to an
+  http(s) endpoint with ``urllib.request``, one connection per request, and
   reads ``choices[i].message.content`` in order. Its ``fetch_many`` keeps
   every job's request in flight at once, one thread per extra job, so a
-  call waits about one round-trip however many jobs it has.
+  call waits about one round-trip however many jobs it has; no connection
+  is shared between threads.
 * ``MockBackend`` serves completions from a fixture table keyed by
   ``"<sha256(prompt)>:<ordinal>"`` and errors on unknown keys, which makes
   whole pipeline runs deterministic and offline. It never waits, so its
@@ -28,16 +30,18 @@ backend and a bumped sample count fetches only the new ordinals.
 """
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 import uuid
 from pathlib import Path
 from typing import Optional, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import BackendError, FixtureMissError
 
@@ -122,9 +126,9 @@ class MockBackend:
 class RemoteBackend:
     """Chat-completion HTTP backend with retry/backoff.
 
-    A retry waits ``backoff * 2**(attempt-1)`` seconds, or longer when a 429
-    or 503 reply carries ``Retry-After`` in integer seconds (capped at
-    ``timeout``).
+    ``endpoint`` must be an http or https URL with a host. A retry waits
+    ``backoff * 2**(attempt-1)`` seconds, or longer when a 429 or 503 reply
+    carries ``Retry-After`` in integer seconds (capped at ``timeout``).
     """
 
     def __init__(
@@ -135,15 +139,17 @@ class RemoteBackend:
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff: float = 1.0,
-        session: Optional[requests.Session] = None,
     ):
+        parts = urlsplit(endpoint)
+        # urlopen would also read file: URLs and try ftp: ones as the "response"
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint must be an http(s) URL with a host, got {endpoint!r}")
         self.endpoint = endpoint
         self.model_id = model_id
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR)
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._session = session or requests.Session()
 
     def fetch_many(self, jobs: Sequence[tuple]) -> list:
         """Fetch each ``(prompt, temperature, ordinals)`` job, all at once.
@@ -172,11 +178,11 @@ class RemoteBackend:
                 worker.join()
         return outcomes
 
-    def _retry_after(self, resp: requests.Response) -> float:
+    def _retry_after(self, status: int, headers) -> float:
         """Seconds a 429 or 503 reply asks to wait: integer form only, capped at the timeout."""
-        if resp.status_code not in (429, 503):
+        if status not in (429, 503):
             return 0.0
-        value = resp.headers.get("Retry-After", "").strip()
+        value = (headers.get("Retry-After") or "").strip()
         if not (value.isascii() and value.isdigit()):
             return 0.0  # absent, or the HTTP-date form, which is not honoured
         return min(float(value), self.timeout)
@@ -192,36 +198,44 @@ class RemoteBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        request = urllib.request.Request(
+            self.endpoint, data=json.dumps(body, allow_nan=False).encode("utf-8"),
+            headers=headers,
+        )
         error: BackendError = BackendError("no request attempted")
         retry_after = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(max(self.backoff * 2 ** (attempt - 1), retry_after))
             retry_after = 0.0
-            try:
-                resp = self._session.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+            try:  # one connection per request: urllib closes it after each reply
+                try:
+                    with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                        status, reply_headers, raw = resp.status, resp.headers, resp.read()
+                except urllib.error.HTTPError as exc:  # a non-2xx reply, read like any other
+                    with exc:
+                        status, reply_headers, raw = exc.code, exc.headers, exc.read()
+            except (OSError, http.client.HTTPException) as exc:
                 error = BackendError(f"request to {self.endpoint} failed: {exc}")
                 log.warning("backend request failed (attempt %d): %s", attempt + 1, exc)
                 continue
-            if resp.status_code == 200:
-                return self._parse_choices(resp, n)
+            if status == 200:
+                return self._parse_choices(raw, n)
             error = BackendError(
-                f"backend returned HTTP {resp.status_code}: {resp.text[:200]}",
-                status=resp.status_code,
+                f"backend returned HTTP {status}: "
+                f"{raw.decode('utf-8', errors='replace')[:200]}",
+                status=status,
             )
-            if resp.status_code < 500 and resp.status_code != 429:
+            if status < 500 and status != 429:
                 break  # client errors do not get better on retry
-            retry_after = self._retry_after(resp)
-            log.warning("backend HTTP %d (attempt %d)", resp.status_code, attempt + 1)
+            retry_after = self._retry_after(status, reply_headers)
+            log.warning("backend HTTP %d (attempt %d)", status, attempt + 1)
         raise error
 
     @staticmethod
-    def _parse_choices(resp: requests.Response, n: int) -> list[str]:
+    def _parse_choices(raw: bytes, n: int) -> list[str]:
         try:
-            choices = resp.json()["choices"]
+            choices = json.loads(raw)["choices"]
             texts = [choice["message"]["content"] or "" for choice in choices]
         except (ValueError, KeyError, TypeError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc

@@ -1,15 +1,19 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from csqe.cli import _RUN_SETTINGS, main
 from csqe.errors import BackendError
 from csqe.expansion import build_keqe_prompt
-from csqe.llm import GenerationCache, RemoteBackend
+from csqe.llm import GenerationCache, RemoteBackend, fixture_key
 
-from conftest import TOY_DIR
+from conftest import REPO_ROOT, TOY_DIR
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,21 @@ def test_fixture_miss_is_backend_error(toy_index, tmp_path, capsys):
                         "--backend", "mock", "--mock-fixtures", str(fixtures)))
     assert rc == 3
     assert "backend error" in capsys.readouterr().err
+
+
+def test_run_refuses_an_endpoint_that_is_not_http_before_any_query_runs(toy_index, tmp_path,
+                                                                       monkeypatch, capsys):
+    def fetch(self, prompt, temperature, ordinals):
+        raise AssertionError("no request may be sent")
+
+    monkeypatch.setattr(RemoteBackend, "fetch", fetch)
+    output = tmp_path / "r.txt"
+    rc = main(_run_args("csqe", toy_index, output, "--backend", "remote",
+                        "--endpoint", "file:///etc/hostname"))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: endpoint must be an http(s) URL with a host, got 'file:///etc/hostname'")
+    assert not output.exists()
 
 
 def test_remote_error_on_either_csqe_request_is_backend_error(toy_index, tmp_path,
@@ -252,6 +271,82 @@ def test_toy_eval_json_matches_pinned_digests(toy_index, tmp_path, capsys, metho
     assert main(["eval", "--run", str(run), "--qrels", str(TOY_DIR / "qrels.txt"), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _TOY_EVAL_JSON_SHA256[method]
+
+
+class _FixtureStub(BaseHTTPRequestHandler):
+    """Answers each chat completion from the toy mock fixtures, like ``MockBackend``."""
+
+    fixtures = json.loads((TOY_DIR / "fixtures.json").read_text(encoding="utf-8"))
+    requests = 0
+    lock = threading.Lock()
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = body["messages"][0]["content"]
+        texts = [type(self).fixtures[fixture_key(prompt, i)] for i in range(body["n"])]
+        data = json.dumps({"choices": [{"message": {"content": t}} for t in texts]}).encode()
+        with type(self).lock:
+            type(self).requests += 1
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_remote_toy_run_through_a_fixture_stub_matches_the_mock_digest(toy_index, tmp_path,
+                                                                       jobs):
+    _FixtureStub.requests = 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureStub)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        out = tmp_path / "csqe.txt"
+        assert main(_run_args("csqe", toy_index, out, "--jobs", jobs,
+                              "--backend", "remote", "--endpoint", endpoint)) == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _TOY_RUN_SHA256["csqe"]
+    assert _FixtureStub.requests == 5 * 2  # per query: one extraction and one keqe request
+
+
+@pytest.mark.parametrize("method", ["bm25", "keqe"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_run_refuses_a_non_finite_temperature_flag(toy_index, tmp_path, capsys, method, value):
+    output = tmp_path / "r.txt"
+    assert main(_run_args(method, toy_index, output, *_mock_args(),
+                          f"--temperature={value}")) == 1
+    assert capsys.readouterr().err.startswith("usage error: --temperature must be a finite")
+    assert not output.exists()
+    assert not (tmp_path / "r.txt.manifest.json").exists()
+
+
+@pytest.mark.parametrize("method", ["bm25", "keqe"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_run_refuses_a_non_finite_temperature_in_the_config_file(toy_index, tmp_path, capsys,
+                                                                 method, value):
+    config = tmp_path / "config.json"
+    config.write_text('{"temperature": %s}' % value, encoding="utf-8")
+    output = tmp_path / "r.txt"
+    assert main(_run_args(method, toy_index, output, *_mock_args(), "--config", str(config))) == 1
+    assert capsys.readouterr().err.startswith("usage error: --temperature must be a finite")
+    assert not output.exists()
+    assert not (tmp_path / "r.txt.manifest.json").exists()
+
+
+def test_importing_the_cli_loads_no_third_party_http_client():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import csqe.cli; "
+            "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(REPO_ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("tag", ["", "my tag", "tab\tted"])

@@ -32,13 +32,13 @@ def _stream(text):
 def test_parse_qrels_basic():
     qrels = parse_qrels(_stream("q1 0 d1 2\n"))
     assert qrels.judgments == {"q1": {"d1": 2}}
-    assert qrels.grade("q1", "d1") == 2
-    assert qrels.grade("q1", "missing") == 0
+    assert qrels.judgments["q1"]["d1"] == 2
+    assert "missing" not in qrels.judgments["q1"]
 
 
 def test_parse_qrels_duplicates_overwrite():
     qrels = parse_qrels(_stream("q1 0 d1 0\nq1 0 d1 1\n"))
-    assert qrels.grade("q1", "d1") == 1
+    assert qrels.judgments["q1"]["d1"] == 1
 
 
 @pytest.mark.parametrize("parse, kind, good", [

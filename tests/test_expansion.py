@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import threading
 import time
@@ -468,6 +469,9 @@ def test_pipeline_config_validation():
         PipelineConfig(doc_token_budget=0)
     with pytest.raises(ValueError):
         PipelineConfig(temperature=-0.1)
+    for temperature in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PipelineConfig(temperature=temperature)
 
 
 def test_prompt_dump_records_files(tmp_path, pipeline_index):

@@ -1,7 +1,9 @@
 import json
 import os
+import socket
 import threading
 import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -142,6 +144,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", _StubHandler
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
@@ -235,6 +238,34 @@ def test_remote_reply_slower_than_timeout_is_retried_then_raised(stub_server):
     with pytest.raises(BackendError, match="failed"):
         backend.fetch("p", 1.0, [0])
     assert len(handler.seen) == 2
+
+
+@pytest.mark.parametrize("endpoint", [
+    "not-a-url", "file:///etc/hostname", "ftp://127.0.0.1/v1/chat/completions", "http://",
+])
+def test_remote_refuses_an_endpoint_that_is_not_http_with_a_host(endpoint):
+    with pytest.raises(ValueError, match=r"endpoint must be an http\(s\) URL with a host"):
+        RemoteBackend(endpoint, api_key="k")
+
+
+def test_remote_connection_refused_is_retried_then_raised(monkeypatch):
+    with socket.socket() as sock:  # a port that was just free, so nothing listens on it
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    attempts = []
+    real_urlopen = urllib.request.urlopen
+
+    def urlopen(*args, **kwargs):
+        attempts.append(args[0].full_url)
+        return real_urlopen(*args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    endpoint = f"http://127.0.0.1:{port}/v1/chat/completions"
+    backend = RemoteBackend(endpoint, api_key="k", max_retries=1, backoff=0.0)
+    with pytest.raises(BackendError, match=f"request to {endpoint} failed") as excinfo:
+        backend.fetch("p", 1.0, [0])
+    assert excinfo.value.status is None
+    assert attempts == [endpoint, endpoint]
 
 
 def test_remote_fetch_many_returns_each_job_in_order(stub_server):
