@@ -170,7 +170,7 @@ def main() -> int:
             )
             for doc_id in ranked_ids
         ]
-        grades = qrels.judgments.get(query.id, {})
+        grades = qrels.get(query.id, {})
         relevant = [d for d, g in sorted(grades.items()) if g > 0]
         missing = [d for d in relevant if d not in ranked_ids]
         assert not missing, f"{query.id}: relevant docs {missing} not in the first pass"

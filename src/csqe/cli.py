@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: ``index``, ``search``, ``run``, ``eval``, ``cache``. Exit codes:
-0 success, 1 usage error, 2 data error, 3 backend error. Configuration
-precedence for ``run`` is flags > config file (--config, JSON) > defaults.
+0 success, 1 usage error, 2 data error (a path that cannot be opened or
+created is one too), 3 backend error. Configuration precedence for ``run``
+is flags > config file (--config, JSON) > defaults.
 """
 
 import argparse
@@ -347,8 +348,7 @@ def cmd_eval(args) -> int:
         raise UsageError(str(exc))
     if not metric_specs:
         raise UsageError("no metrics requested")
-    overlap = set(run.rankings) & set(qrels.judgments)
-    if not overlap:
+    if not run.keys() & qrels.keys():
         raise DataFormatError(
             "run and qrels share no query ids; check that the right files were paired"
         )
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BackendError as exc:

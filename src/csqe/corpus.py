@@ -6,7 +6,8 @@ File formats:
              with one space)
     queries  TSV, ``qid<TAB>query text``; the qid has no whitespace
 
-Each file is split into lines on "\\n" only.
+Each parser takes a file opened ``"rb"``, decodes it as UTF-8 and splits it
+into lines on "\\n" only.
 
 Tokenization is lowercase, split on runs of non-alphanumeric characters,
 stopword removal (bundled English list), then Porter stemming.
@@ -16,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Iterable, Iterator, Union
+from typing import BinaryIO, Iterator
 
 from .errors import DataFormatError
 from .stemmer import stem
@@ -76,39 +77,27 @@ def is_single_field(text: str) -> bool:
     return text.split() == [text]
 
 
-def _iter_lines(stream: Union[IO, Iterable], kind: str) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, text)`` pairs; ``kind`` names the file in errors.
+def _iter_lines(stream: BinaryIO, kind: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, text)`` pairs of a binary file; ``kind`` names it in errors.
 
-    A stream with ``read`` is read and decoded once and split on ``"\\n"``
-    only, so ``"\\r"``, form feeds, U+0085 and U+2028 stay inside their
-    line. Any other iterable gives one line per item. On bytes that are not
-    UTF-8 the lines before the bad one are yielded first, then
+    The file is read and decoded once and split on ``"\\n"`` only, so
+    ``"\\r"``, form feeds, U+0085 and U+2028 stay inside their line. On bytes
+    that are not UTF-8 the lines before the bad one are yielded first, then
     ``DataFormatError`` names the bad line.
     """
-    read = getattr(stream, "read", None)
-    if read is None:
-        for lineno, raw in enumerate(stream, start=1):
-            if isinstance(raw, bytes):
-                try:
-                    raw = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataFormatError(f"{kind} line {lineno}: not valid UTF-8") from exc
-            yield lineno, raw
-        return
-    data = read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # a multi-byte sequence never spans b"\n", so the lines before this one are valid
-            good = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8").split("\n")[:-1]
-            yield from enumerate(good, start=1)
-            raise DataFormatError(f"{kind} line {len(good) + 1}: not valid UTF-8") from exc
-    yield from enumerate(data.split("\n"), start=1)
+    data = stream.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a multi-byte sequence never spans b"\n", so the lines before this one are valid
+        good = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8").split("\n")[:-1]
+        yield from enumerate(good, start=1)
+        raise DataFormatError(f"{kind} line {len(good) + 1}: not valid UTF-8") from exc
+    yield from enumerate(text.split("\n"), start=1)
 
 
-def parse_jsonl_corpus(stream: Union[IO, Iterable]) -> list[Document]:
-    """Parse a JSONL corpus stream into documents, preserving input order.
+def parse_jsonl_corpus(stream: BinaryIO) -> list[Document]:
+    """Parse a JSONL corpus file opened ``"rb"`` into documents, in file order.
 
     Raises:
         DataFormatError: on bytes that are not UTF-8, malformed JSON, or a
@@ -151,8 +140,8 @@ def parse_jsonl_corpus(stream: Union[IO, Iterable]) -> list[Document]:
     return docs
 
 
-def parse_queries_tsv(stream: Union[IO, Iterable]) -> list[Query]:
-    """Parse ``qid<TAB>text`` lines into queries.
+def parse_queries_tsv(stream: BinaryIO) -> list[Query]:
+    """Parse the ``qid<TAB>text`` lines of a file opened ``"rb"`` into queries.
 
     Raises:
         DataFormatError: on a line without a tab, an empty id or text, an
@@ -161,7 +150,6 @@ def parse_queries_tsv(stream: Union[IO, Iterable]) -> list[Query]:
     queries: list[Query] = []
     seen: set[str] = set()
     for lineno, line in _iter_lines(stream, "queries"):
-        line = line.rstrip("\r\n")
         if not line.strip():
             continue
         if "\t" not in line:

@@ -11,7 +11,10 @@ One divergence: documents whose run-file scores tie keep their file order
 docno, descending. On a run with tied scores the two can report different
 values.
 
-Run and qrels files are split into lines on ``"\\n"`` only, and each line
+Runs and qrels are plain dicts: a run maps query id -> ranked ``(doc id,
+score)`` list, the mapping ``write_trec_run`` takes and ``parse_trec_run``
+returns; qrels map query id -> doc id -> grade. Both parsers take a file
+opened ``"rb"``, split it into lines on ``"\\n"`` only and each line
 into fields on whitespace, so query ids, document ids and run tags contain
 no whitespace (``csqe`` refuses such ids in corpus and query files, and
 such a tag). A run score that is not a number, NaN included, is an error
@@ -21,9 +24,9 @@ that names its line.
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import IO, Iterable, Mapping, Optional, Sequence, Union
+from typing import BinaryIO, Mapping, Optional, Sequence, Union
 
 from .corpus import _iter_lines
 from .errors import DataFormatError
@@ -34,15 +37,8 @@ DEFAULT_REL_THRESHOLD = 1
 DEFAULT_RUN_DEPTH = 1000
 
 
-@dataclass
-class Qrels:
-    """Graded relevance judgments: query id -> doc id -> grade (>= 0)."""
-
-    judgments: dict[str, dict[str, int]] = field(default_factory=dict)
-
-
-def parse_qrels(stream: Union[IO, Iterable]) -> Qrels:
-    """Parse ``qid 0 docid grade`` lines; later duplicates overwrite."""
+def parse_qrels(stream: BinaryIO) -> dict[str, dict[str, int]]:
+    """Parse ``qid 0 docid grade`` lines into qid -> docid -> grade; later duplicates overwrite."""
     judgments: dict[str, dict[str, int]] = {}
     for lineno, line in _iter_lines(stream, "qrels"):
         parts = line.split()
@@ -58,14 +54,7 @@ def parse_qrels(stream: Union[IO, Iterable]) -> Qrels:
         if grade < 0:
             raise DataFormatError(f"qrels line {lineno}: grade must be >= 0")
         judgments.setdefault(qid, {})[docid] = grade
-    return Qrels(judgments)
-
-
-@dataclass
-class RunFile:
-    """Ranked retrieval output: query id -> ordered (doc id, score) list."""
-
-    rankings: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+    return judgments
 
 
 def write_trec_run(rankings: Mapping[str, Sequence[tuple[str, float]]], tag: str = "run") -> str:
@@ -80,7 +69,7 @@ def write_trec_run(rankings: Mapping[str, Sequence[tuple[str, float]]], tag: str
     return "".join(lines)
 
 
-def parse_trec_run(stream: Union[IO, Iterable]) -> RunFile:
+def parse_trec_run(stream: BinaryIO) -> dict[str, list[tuple[str, float]]]:
     """Parse a TREC run file, re-sorting each query by score descending.
 
     The sort is stable so documents whose printed scores collide keep their
@@ -109,8 +98,8 @@ def parse_trec_run(stream: Union[IO, Iterable]) -> RunFile:
         # float() made a new object, so getting any other one back means docid was there
         if docs.setdefault(docid, score) is not score:
             raise DataFormatError(f"run line {lineno}: duplicate doc '{docid}' for query '{qid}'")
-    return RunFile({qid: sorted(docs.items(), key=itemgetter(1), reverse=True)
-                    for qid, docs in by_query.items()})
+    return {qid: sorted(docs.items(), key=itemgetter(1), reverse=True)
+            for qid, docs in by_query.items()}
 
 
 # -- metrics ---------------------------------------------------------------
@@ -207,9 +196,6 @@ class MetricReport:
     macro: dict[str, Optional[float]]
     skipped_queries: list[str]
 
-    def evaluated_count(self, metric: str) -> int:
-        return len(self.per_query.get(metric, {}))
-
     def to_json(self) -> str:
         payload = {
             "macro": self.macro,
@@ -225,18 +211,18 @@ class MetricReport:
         for name in names:
             value = self.macro[name]
             rendered = f"{value:.4f}" if value is not None else "n/a"
-            lines.append(f"{name.ljust(width)}  {self.evaluated_count(name):>7}  {rendered:>8}")
+            lines.append(f"{name.ljust(width)}  {len(self.per_query[name]):>7}  {rendered:>8}")
         return "\n".join(lines)
 
 
 def evaluate_run(
-    run: RunFile,
-    qrels: Qrels,
+    run: Mapping[str, Sequence[tuple[str, float]]],
+    qrels: Mapping[str, Mapping[str, int]],
     metric_specs: Sequence[Union[str, MetricSpec]],
     rel_threshold: int = DEFAULT_REL_THRESHOLD,
     exponential_gain: bool = False,
 ) -> MetricReport:
-    """Score every run query found in the qrels.
+    """Score every run query found in the qrels (the dicts the parsers return).
 
     Queries missing from the qrels are skipped with a warning; queries with
     no relevant documents are excluded per metric. Output ordering is by
@@ -245,13 +231,13 @@ def evaluate_run(
     specs = [parse_metric_spec(s) if isinstance(s, str) else s for s in metric_specs]
     per_query: dict[str, dict[str, float]] = {spec.name: {} for spec in specs}
     skipped: list[str] = []
-    for qid in sorted(run.rankings):
-        judged = qrels.judgments.get(qid)
+    for qid in sorted(run):
+        judged = qrels.get(qid)
         if judged is None:
             log.warning("query %s has no qrels entry; skipped", qid)
             skipped.append(qid)
             continue
-        ranking = [docid for docid, _score in run.rankings[qid]]
+        ranking = [docid for docid, _score in run[qid]]
         for spec in specs:
             if spec.kind == "map":
                 value = average_precision(ranking, judged, rel_threshold)
@@ -261,10 +247,8 @@ def evaluate_run(
                 value = recall_at_k(ranking, judged, spec.k, rel_threshold)
             if value is not None:
                 per_query[spec.name][qid] = value
-    macro: dict[str, Optional[float]] = {}
-    for spec in specs:
-        values = per_query[spec.name]
-        macro[spec.name] = sum(values.values()) / len(values) if values else None
+    macro = {name: sum(values.values()) / len(values) if values else None
+             for name, values in per_query.items()}
     if not any(per_query.values()):
         log.warning("no queries were evaluated (empty run or disjoint qrels)")
     return MetricReport(per_query=per_query, macro=macro, skipped_queries=skipped)

@@ -88,8 +88,11 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, path: str, model_id: str = "mock") -> "MockBackend":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError:  # invalid JSON, or bytes that are not UTF-8
+            data = None
         if not isinstance(data, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in data.items()
         ):
@@ -126,9 +129,10 @@ class MockBackend:
 class RemoteBackend:
     """Chat-completion HTTP backend with retry/backoff.
 
-    ``endpoint`` must be an http or https URL with a host. A retry waits
-    ``backoff * 2**(attempt-1)`` seconds, or longer when a 429 or 503 reply
-    carries ``Retry-After`` in integer seconds (capped at ``timeout``).
+    ``endpoint`` must be an http or https URL with a host, and any port it
+    names must be a number in 0-65535. A retry waits ``backoff *
+    2**(attempt-1)`` seconds, or longer when a 429 or 503 reply carries
+    ``Retry-After`` in integer seconds (capped at ``timeout``).
     """
 
     def __init__(
@@ -141,9 +145,14 @@ class RemoteBackend:
         backoff: float = 1.0,
     ):
         parts = urlsplit(endpoint)
+        refused = f"endpoint must be an http(s) URL with a host, got {endpoint!r}"
         # urlopen would also read file: URLs and try ftp: ones as the "response"
         if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"endpoint must be an http(s) URL with a host, got {endpoint!r}")
+            raise ValueError(refused)
+        try:
+            parts.port  # every attempt would fail on a port that is not a number in 0-65535
+        except ValueError as exc:
+            raise ValueError(f"{refused} ({exc})") from None
         self.endpoint = endpoint
         self.model_id = model_id
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR)
@@ -258,12 +267,9 @@ class GenerationCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, fingerprint: str) -> Path:
-        return self.root / fingerprint
-
     def get(self, fingerprint: str) -> Optional[str]:
         try:
-            blob = self._path(fingerprint).read_bytes()
+            blob = (self.root / fingerprint).read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
@@ -285,7 +291,7 @@ class GenerationCache:
         tmp = self.root / f"{fingerprint}.tmp.{uuid.uuid4().hex}"
         with open(tmp, "xb") as fh:
             fh.write(payload)
-        os.replace(tmp, self._path(fingerprint))
+        os.replace(tmp, self.root / fingerprint)
 
     def _entries(self):
         return [p for p in self.root.iterdir() if p.is_file() and ".tmp." not in p.name]

@@ -2,15 +2,15 @@
 
 Everything here recomputes results directly from the defining formulas on
 plain Python structures and shares no code with the package modules it
-checks, apart from the error and result types the run-file parser returns.
+checks, apart from the error type the run-file parser raises; that parser
+returns a plain dict.
 """
 
 import math
 from collections import Counter
-from typing import IO, Iterable, Iterator, Union
+from typing import BinaryIO, Iterator
 
 from csqe.errors import DataFormatError
-from csqe.evaluation import RunFile
 
 
 def bm25_scores(doc_token_lists, query_tokens, k1=0.9, b=0.4):
@@ -145,22 +145,22 @@ def recall_oracle(ranking, judged, k, rel_threshold=1):
 # -- run-file parser oracle --------------------------------------------------
 #
 # The line-by-line parser that the one-pass ``csqe.evaluation.parse_trec_run``
-# replaced, kept verbatim: the stream is iterated line by line, each line
-# decoded on its own, and each query's pairs re-sorted with a negated key.
+# replaced, kept as it was apart from its input and return types: the binary
+# file is iterated line by line, each line decoded on its own, and each
+# query's pairs re-sorted with a negated key.
 
 
-def _iter_lines(stream: Union[IO, Iterable], kind: str) -> Iterator[tuple[int, str]]:
+def _iter_lines(stream: BinaryIO, kind: str) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, text)`` pairs; ``kind`` names the file in errors."""
     for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataFormatError(f"{kind} line {lineno}: not valid UTF-8") from exc
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{kind} line {lineno}: not valid UTF-8") from exc
         yield lineno, raw
 
 
-def parse_trec_run(stream: Union[IO, Iterable]) -> RunFile:
+def parse_trec_run(stream: BinaryIO) -> dict[str, list[tuple[str, float]]]:
     """Parse a TREC run file, re-sorting each query by score descending.
 
     The sort is stable so documents whose printed scores collide keep their
@@ -186,4 +186,4 @@ def parse_trec_run(stream: Union[IO, Iterable]) -> RunFile:
         rankings.setdefault(qid, []).append((docid, score))
     for qid in rankings:
         rankings[qid].sort(key=lambda pair: -pair[1])
-    return RunFile(rankings)
+    return rankings

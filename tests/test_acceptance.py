@@ -193,11 +193,11 @@ def test_criterion_6_end_to_end_improvement(tmp_path):
         assert csqe_ndcg > bm25_ndcg, f"csqe {csqe_ndcg} vs bm25 {bm25_ndcg}"
 
         def rank_of(run, qid, doc_id):
-            ids = [d for d, _ in run.rankings[qid]]
+            ids = [d for d, _ in run[qid]]
             assert doc_id in ids, f"{doc_id} missing from {qid} ranking"
             return ids.index(doc_id) + 1
 
-        for qid, judged in qrels.judgments.items():
+        for qid, judged in qrels.items():
             for doc_id, grade in judged.items():
                 if grade > 0:
                     assert rank_of(csqe_run, qid, doc_id) <= rank_of(bm25_run, qid, doc_id)

@@ -104,6 +104,54 @@ def test_run_refuses_an_endpoint_that_is_not_http_before_any_query_runs(toy_inde
     assert not output.exists()
 
 
+def test_run_refuses_an_endpoint_port_that_is_not_a_number_before_any_query_runs(
+        toy_index, tmp_path, monkeypatch, capsys):
+    def fetch(self, prompt, temperature, ordinals):
+        raise AssertionError("no request may be sent")
+
+    monkeypatch.setattr(RemoteBackend, "fetch", fetch)
+    output = tmp_path / "r.txt"
+    rc = main(_run_args("csqe", toy_index, output, "--backend", "remote",
+                        "--endpoint", "http://127.0.0.1:abc/v1"))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: endpoint must be an http(s) URL with a host, got 'http://127.0.0.1:abc/v1'")
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("data", [b'{"a": ', b'{"a": "caf\xe9"}'])
+def test_run_with_a_mock_fixtures_file_that_is_not_json_is_backend_error(toy_index, tmp_path,
+                                                                         capsys, data):
+    fixtures, output = tmp_path / "fixtures.json", tmp_path / "r.txt"
+    fixtures.write_bytes(data)
+    rc = main(_run_args("csqe", toy_index, output, "--backend", "mock",
+                        "--mock-fixtures", str(fixtures)))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"backend error: {fixtures}: mock fixtures must be a JSON object")
+    assert "Traceback" not in err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("command", ["cache-dir", "dump-prompts", "cache-stats", "index"])
+def test_a_path_that_cannot_be_opened_or_created_is_data_error(toy_index, tmp_path, capsys,
+                                                               command):
+    a_file, output = tmp_path / "a_file", tmp_path / "r.txt"
+    a_file.write_text("", encoding="utf-8")
+    argv = {
+        "cache-dir": _run_args("csqe", toy_index, output, *_mock_args(), "--cache-dir", str(a_file)),
+        "dump-prompts": _run_args("csqe", toy_index, output, *_mock_args(),
+                                  "--dump-prompts", str(a_file)),
+        "cache-stats": ["cache", "stats", "--cache-dir", str(a_file)],
+        "index": _run_args("bm25", a_file / "x", output),
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+    assert not output.exists()
+
+
 def test_remote_error_on_either_csqe_request_is_backend_error(toy_index, tmp_path,
                                                              monkeypatch, capsys):
     def fetch(self, prompt, temperature, ordinals):

@@ -203,16 +203,12 @@ def test_parse_corpus_rejects_an_id_with_whitespace(doc_id):
 
 
 @pytest.mark.parametrize("char", ["\u2028", "\x85"])
-@pytest.mark.parametrize("as_text", [False, True])
-def test_parse_corpus_keeps_a_raw_line_separator_inside_its_document(char, as_text):
-    data = '{"id":"a","contents":"one' + char + 'two"}\n{"id":"b","contents":"three"}\n'
-    stream = io.StringIO(data) if as_text else _bytes_stream(data)
+@pytest.mark.parametrize("crlf", [False, True])
+def test_parse_corpus_keeps_a_raw_line_separator_inside_its_document(char, crlf):
+    end = "\r\n" if crlf else "\n"
+    stream = _bytes_stream('{"id":"a","contents":"one' + char + 'two"}' + end
+                           + '{"id":"b","contents":"three"}' + end)
     assert parse_jsonl_corpus(stream) == [Document("a", f"one{char}two"), Document("b", "three")]
-
-
-def test_parse_corpus_accepts_text_stream():
-    docs = parse_jsonl_corpus(io.StringIO('{"id":"d1","contents":"x"}\n'))
-    assert docs[0].id == "d1"
 
 
 _doc_text = st.text(
@@ -225,7 +221,7 @@ _doc_text = st.text(
 def test_parse_corpus_round_trip(texts):
     docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
     lines = [json.dumps({"id": d.id, "contents": d.text}, ensure_ascii=False) for d in docs]
-    assert parse_jsonl_corpus(io.StringIO("".join(line + "\n" for line in lines))) == docs
+    assert parse_jsonl_corpus(_bytes_stream("".join(line + "\n" for line in lines))) == docs
 
 
 # -- parse_queries_tsv ---------------------------------------------------------

@@ -91,9 +91,11 @@ def test_mock_from_file_round_trip(tmp_path):
 
 def test_mock_from_file_rejects_non_string_map(tmp_path):
     path = tmp_path / "fixtures.json"
-    path.write_text(json.dumps({"k": 7}), encoding="utf-8")
-    with pytest.raises(BackendError):
-        MockBackend.from_file(str(path))
+    # the wrong shape, JSON cut short, and bytes that are not UTF-8
+    for data in (json.dumps({"k": 7}).encode(), b'{"a": ', b'{"a": "caf\xe9"}'):
+        path.write_bytes(data)
+        with pytest.raises(BackendError, match="mock fixtures must be a JSON object of strings"):
+            MockBackend.from_file(str(path))
 
 
 # -- remote backend against a stub server ------------------------------------------
@@ -242,6 +244,7 @@ def test_remote_reply_slower_than_timeout_is_retried_then_raised(stub_server):
 
 @pytest.mark.parametrize("endpoint", [
     "not-a-url", "file:///etc/hostname", "ftp://127.0.0.1/v1/chat/completions", "http://",
+    "http://127.0.0.1:abc/v1", "http://127.0.0.1:99999/v1",
 ])
 def test_remote_refuses_an_endpoint_that_is_not_http_with_a_host(endpoint):
     with pytest.raises(ValueError, match=r"endpoint must be an http\(s\) URL with a host"):
