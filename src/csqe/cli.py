@@ -286,6 +286,10 @@ def cmd_run(args) -> int:
     with open(args.queries, "rb") as fh:
         queries = parse_queries_tsv(fh)
     index = InvertedIndex.load(args.index)
+    if args.method in ("rm3", "csqe"):
+        # decode the texts on this thread: a --jobs worker would decode them into its own
+        # malloc arena, which adds to the peak RSS of a process that runs several commands
+        index.doc_texts
     run_one, client = _query_runner(args.method, config, index)
     dump = expansion.PromptDump(args.dump_prompts) if args.dump_prompts else None
 
@@ -362,6 +366,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    if not os.path.isdir(args.cache_dir):  # GenerationCache would create it
+        raise DataFormatError(f"{args.cache_dir}: no such cache directory")
     cache = llm.GenerationCache(args.cache_dir)
     if args.action == "stats":
         stats = cache.stats()

@@ -10,24 +10,31 @@ sorted terms laid end to end in two ``array``s, ``ordinals`` (document
 ordinals, ascending within each list) and ``tfs``, with term ``i``'s list at
 ``offsets[i]:offsets[i + 1]``.
 
-On-disk layout (format version 3): the 8-byte magic ``CSQEIDX1``, the
-version as a little-endian u32, a header ``<dd2Q4Q4B`` (k1, b, the byte size
-of each of the two zlib streams that follow, then the count and the byte
-width of each of the four arrays below), and the two streams:
+On-disk layout (format version 4): the 8-byte magic ``CSQEIDX1``, the
+version as a little-endian u32, a header ``<dd3QI4Q4B`` (k1, b, the byte size
+of each of the three zlib streams that follow, the crc32 of the second
+stream as stored, then the count and the byte width of each of the four
+arrays below), and the three streams:
 
-1. UTF-8 JSON ``[doc_ids, doc_texts, terms]`` with terms sorted, at zlib
-   level 5;
-2. at level 6, the little-endian unsigned arrays, end to end:
+1. UTF-8 JSON ``[doc_ids, terms]`` with terms sorted, at zlib level 5;
+2. UTF-8 JSON ``doc_texts``, one string per document, at level 5;
+3. at level 6, the little-endian unsigned arrays, end to end:
    ``doc_lens``, one per document; ``dfs``, one per term, the length of its
    postings list; posting ordinals, gap-coded within each term's list (the
    first entry is the ordinal itself, each later one the distance to the
    one before); posting tfs, aligned with the ordinals. Each array is 1, 2
    or 4 bytes wide, the narrowest that holds its largest value.
 
+Only RM3 and CSQE read document texts, so ``load`` keeps the texts stream
+compressed and ``doc_texts`` decodes it on its first read, once per index:
+a bm25 run or ``csqe search`` never decompresses a text.
+
 ``load`` checks that k1 and b pass ``check_bm25_params``, that the stream
-sizes add up to the file, that the array widths and lengths agree, and that
-every postings list names distinct documents that exist, and raises
-``DataFormatError`` otherwise. Files of
+sizes add up to the file, that the texts stream matches its crc32, that the
+array widths and lengths agree, and that every postings list names distinct
+documents that exist, and raises ``DataFormatError`` otherwise. A texts
+stream that passes its crc32 but does not decode to one string per document
+raises ``DataFormatError`` from the first read of ``doc_texts``. Files of
 earlier format versions are refused with ``unsupported index format
 version <n>``.
 """
@@ -37,14 +44,16 @@ import math
 import os
 import struct
 import sys
+import threading
 import uuid
 import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, repeat
 from operator import sub
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import Document, tokenize
 from .errors import DataFormatError
@@ -53,12 +62,13 @@ DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 
 _MAGIC = b"CSQEIDX1"
-_FORMAT_VERSION = 3
-# k1, b, byte size of each zlib stream, count of each array, byte width of each array
-_HEADER = struct.Struct("<dd2Q4Q4B")
+_FORMAT_VERSION = 4
+# k1, b, byte size of each zlib stream, crc32 of the texts stream, count of each array,
+# byte width of each array
+_HEADER = struct.Struct("<dd3QI4Q4B")
 _TYPECODES = {array(code).itemsize: code for code in "LIHB"}  # byte width -> typecode
 _U32 = _TYPECODES[4]
-_TEXT_LEVEL = 5  # the texts are most of the file and of the time save spends compressing
+_STRING_LEVEL = 5  # the texts are most of the file and of the time save spends compressing
 _ARRAY_LEVEL = 6
 
 
@@ -104,7 +114,11 @@ class WeightedQuery:
 
 
 class InvertedIndex:
-    """Immutable postings index. Build once, search from any thread."""
+    """Immutable postings index. Build once, search from any thread.
+
+    ``doc_texts`` is given as the list of texts, or as a function that
+    returns it, which the first read of ``doc_texts`` calls.
+    """
 
     def __init__(
         self,
@@ -114,7 +128,7 @@ class InvertedIndex:
         tfs: array,
         doc_ids: list[str],
         doc_lens: list[int],
-        doc_texts: list[str],
+        doc_texts: list[str] | Callable[[], list[str]],
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ):
@@ -124,7 +138,8 @@ class InvertedIndex:
         self.tfs = tfs
         self.doc_ids = doc_ids
         self.doc_lens = doc_lens
-        self.doc_texts = doc_texts
+        self._texts = doc_texts
+        self._texts_lock = threading.Lock()
         self.k1 = k1
         self.b = b
         self.doc_count = len(doc_ids)
@@ -137,6 +152,17 @@ class InvertedIndex:
         self._id_rank = [0] * self.doc_count
         for rank, ordinal in enumerate(sorted(range(self.doc_count), key=doc_ids.__getitem__)):
             self._id_rank[ordinal] = rank
+
+    @property
+    def doc_texts(self) -> list[str]:
+        """The document texts in ordinal order, decoded on the first read."""
+        texts = self._texts
+        if callable(texts):
+            with self._texts_lock:  # concurrent first readers decode once
+                if callable(self._texts):
+                    self._texts = self._texts()
+                texts = self._texts
+        return texts
 
     # -- statistics ---------------------------------------------------------
 
@@ -203,12 +229,11 @@ class InvertedIndex:
             gaps.extend(map(sub, run, chain((0,), run)))
         arrays = [_narrowest(values) for values in
                   (self.doc_lens, [end - start for start, end in spans], gaps, self.tfs)]
-        strings = json.dumps([self.doc_ids, self.doc_texts, self.terms],
-                             ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-        streams = [zlib.compress(strings, _TEXT_LEVEL),
-                   zlib.compress(b"".join(map(_le_bytes, arrays)), _ARRAY_LEVEL)]
-        header = _HEADER.pack(self.k1, self.b, *map(len, streams), *map(len, arrays),
-                              *(values.itemsize for values in arrays))
+        streams = [zlib.compress(_json_bytes(strings), _STRING_LEVEL)
+                   for strings in ([self.doc_ids, self.terms], self.doc_texts)]
+        streams.append(zlib.compress(b"".join(map(_le_bytes, arrays)), _ARRAY_LEVEL))
+        header = _HEADER.pack(self.k1, self.b, *map(len, streams), zlib.crc32(streams[1]),
+                              *map(len, arrays), *(values.itemsize for values in arrays))
         # unique per call: concurrent or nested saves to one path never share it
         tmp = f"{path}.tmp.{uuid.uuid4().hex}"
         with open(tmp, "xb") as fh:
@@ -220,35 +245,37 @@ class InvertedIndex:
 
     @classmethod
     def load(cls, path: str) -> "InvertedIndex":
-        with open(path, "rb") as fh:
-            data = fh.read()
         prefix = len(_MAGIC) + 4
-        if len(data) < prefix or data[: len(_MAGIC)] != _MAGIC:
-            raise DataFormatError(f"{path}: not an index file (bad magic)")
-        (version,) = struct.unpack_from("<I", data, len(_MAGIC))
-        if version != _FORMAT_VERSION:
-            raise DataFormatError(f"{path}: unsupported index format version {version}")
-        if len(data) < prefix + _HEADER.size:
-            raise DataFormatError(f"{path}: corrupt index payload (truncated header)")
-        k1, b, text_size, array_size, *shape = _HEADER.unpack_from(data, prefix)
-        body = prefix + _HEADER.size
-        if body + text_size + array_size != len(data):
-            raise DataFormatError(
-                f"{path}: corrupt index payload (stream sizes {[text_size, array_size]} do not "
-                f"sum to {len(data) - body} bytes)"
-            )
-        view = memoryview(data)
+        with open(path, "rb") as fh:
+            head = fh.read(prefix + _HEADER.size)
+            if len(head) < prefix or head[: len(_MAGIC)] != _MAGIC:
+                raise DataFormatError(f"{path}: not an index file (bad magic)")
+            (version,) = struct.unpack_from("<I", head, len(_MAGIC))
+            if version != _FORMAT_VERSION:
+                raise DataFormatError(f"{path}: unsupported index format version {version}")
+            if len(head) < prefix + _HEADER.size:
+                raise DataFormatError(f"{path}: corrupt index payload (truncated header)")
+            k1, b, *fields = _HEADER.unpack_from(head, prefix)
+            sizes, texts_crc, shape = fields[:3], fields[3], fields[4:]
+            body = os.fstat(fh.fileno()).st_size - len(head)
+            if sum(sizes) != body:
+                raise DataFormatError(
+                    f"{path}: corrupt index payload (stream sizes {sizes} do not sum to "
+                    f"{body} bytes)"
+                )
+            # one read per stream: only the texts stream is kept, still compressed
+            names, texts, packed = map(fh.read, sizes)
         try:
             check_bm25_params(k1, b)
-            strings = json.loads(zlib.decompress(view[body:body + text_size]))
-            if not (isinstance(strings, list) and len(strings) == 3 and all(
-                    isinstance(part, list) and all(isinstance(s, str) for s in part)
-                    for part in strings)):
-                raise ValueError("strings section is not three lists of strings")
-            doc_ids, doc_texts, terms = strings
-            doc_lens, dfs, gaps, tfs = _read_arrays(
-                zlib.decompress(view[body + text_size:]), shape[:4], shape[4:])
-            if not (len(doc_ids) == len(doc_texts) == len(doc_lens) and len(terms) == len(dfs)
+            if zlib.crc32(texts) != texts_crc:
+                raise ValueError("texts stream fails its crc32 check")
+            strings = json.loads(zlib.decompress(names))
+            if not (isinstance(strings, list) and len(strings) == 2
+                    and all(_is_str_list(part) for part in strings)):
+                raise ValueError("names stream is not two lists of strings")
+            doc_ids, terms = strings
+            doc_lens, dfs, gaps, tfs = _read_arrays(zlib.decompress(packed), shape[:4], shape[4:])
+            if not (len(doc_ids) == len(doc_lens) and len(terms) == len(dfs)
                     and sum(dfs) == len(gaps) == len(tfs)):
                 raise ValueError("section lengths disagree")
             offsets = [0, *accumulate(dfs)]
@@ -262,8 +289,31 @@ class InvertedIndex:
                 ordinals.extend(accumulate(run))
         except (zlib.error, ValueError) as exc:
             raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
-        return cls(terms, offsets, ordinals, tfs, doc_ids, doc_lens.tolist(), doc_texts,
-                   k1=k1, b=b)
+        return cls(terms, offsets, ordinals, tfs, doc_ids, doc_lens.tolist(),
+                   partial(_decode_texts, path, texts, len(doc_ids)), k1=k1, b=b)
+
+
+def _decode_texts(path: str, stream: bytes, count: int) -> list[str]:
+    """The texts stream of the index file at ``path`` as ``count`` strings.
+
+    Raises:
+        DataFormatError: if the stream does not decode to ``count`` strings.
+    """
+    try:
+        texts = json.loads(zlib.decompress(stream))
+        if not (_is_str_list(texts) and len(texts) == count):
+            raise ValueError(f"texts stream is not a list of {count} strings")
+    except (zlib.error, ValueError) as exc:
+        raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
+    return texts
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+def _json_bytes(value) -> bytes:
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
 def _narrowest(values) -> array:

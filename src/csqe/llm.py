@@ -282,7 +282,11 @@ class GenerationCache:
         if hashlib.sha256(body).hexdigest().encode("ascii") != head[len(b"sha256:"):]:
             log.warning("cache entry %s failed its integrity check; refetching", fingerprint)
             return None
-        return body.decode("utf-8")
+        try:
+            return body.decode("utf-8")
+        except UnicodeDecodeError:
+            log.warning("cache entry %s is not UTF-8; refetching", fingerprint)
+            return None
 
     def put(self, fingerprint: str, text: str) -> None:
         body = text.encode("utf-8")

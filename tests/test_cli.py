@@ -637,6 +637,21 @@ def test_run_with_cache_then_cache_subcommands(toy_index, tmp_path, capsys):
     assert GenerationCache(cache_dir).stats()["entries"] == 0
 
 
+@pytest.mark.parametrize("action", ["stats", "clear"])
+def test_cache_subcommands_refuse_a_cache_dir_that_does_not_exist(tmp_path, capsys, action):
+    missing = tmp_path / "no" / "cache"
+    assert main(["cache", action, "--cache-dir", str(missing)]) == 2
+    assert capsys.readouterr().err == f"data error: {missing}: no such cache directory\n"
+    assert not (tmp_path / "no").exists()
+
+
+def test_run_creates_its_cache_dir(toy_index, tmp_path):
+    cache_dir = tmp_path / "new" / "cache"
+    assert main(_run_args("csqe", toy_index, tmp_path / "r.txt", "--cache-dir", str(cache_dir),
+                          *_mock_args())) == 0
+    assert GenerationCache(cache_dir).stats()["entries"] == 20
+
+
 @pytest.mark.parametrize("threshold", ["0", "-1"])
 def test_eval_refuses_a_rel_threshold_below_one_before_reading_files(tmp_path, capsys,
                                                                       threshold):

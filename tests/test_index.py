@@ -3,11 +3,16 @@ import math
 import os
 import random
 import struct
+import sys
+import threading
+import time
 import zlib
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import csqe.index
 from csqe.cli import main
 from csqe.corpus import Document
 from csqe.errors import DataFormatError
@@ -313,45 +318,52 @@ def test_load_rejects_truncated_payload(tmp_path, shark_docs):
 
 # the documented on-disk layout, restated here so the tests pin it
 MAGIC = b"CSQEIDX1"
-HEADER = struct.Struct("<dd2Q4Q4B")  # k1, b, stream sizes, array counts, array widths
+# k1, b, stream sizes, crc32 of the texts stream, array counts, array widths
+HEADER = struct.Struct("<dd3QI4Q4B")
 BODY = len(MAGIC) + 4 + HEADER.size
 FORMATS = {1: "B", 2: "H", 4: "I"}
 
 
 def _read(path):
-    """(k1, b, strings stream, the four arrays, their widths) of a v3 file."""
+    """(k1, b, the names and texts JSON, the four arrays, their widths) of a v4 file."""
     data = path.read_bytes()
-    k1, b, text_size, _array_size, *shape = HEADER.unpack_from(data, len(MAGIC) + 4)
-    strings = zlib.decompress(data[BODY:BODY + text_size])
-    raw = zlib.decompress(data[BODY + text_size:])
+    k1, b, *fields = HEADER.unpack_from(data, len(MAGIC) + 4)
+    sizes, shape = fields[:3], fields[4:]
+    ends = list(accumulate(sizes, initial=BODY))
+    names, texts, raw = (zlib.decompress(data[start:end]) for start, end in zip(ends, ends[1:]))
     arrays, offset = [], 0
     for count, width in zip(shape[:4], shape[4:]):
         arrays.append(list(struct.unpack_from(f"<{count}{FORMATS[width]}", raw, offset)))
         offset += count * width
-    return k1, b, strings, arrays, shape[4:]
+    return k1, b, (names, texts), arrays, shape[4:]
 
 
 def _write(path, k1, b, strings, arrays, widths):
     raw = b"".join(struct.pack(f"<{len(a)}{FORMATS[w]}", *a) for a, w in zip(arrays, widths))
-    streams = [zlib.compress(strings), zlib.compress(raw)]
-    path.write_bytes(MAGIC + struct.pack("<I", 3)
-                     + HEADER.pack(k1, b, *map(len, streams), *map(len, arrays), *widths)
+    streams = [*map(zlib.compress, strings), zlib.compress(raw)]
+    path.write_bytes(MAGIC + struct.pack("<I", 4)
+                     + HEADER.pack(k1, b, *map(len, streams), zlib.crc32(streams[1]),
+                                   *map(len, arrays), *widths)
                      + b"".join(streams))
 
 
-def test_saved_file_has_the_documented_v3_layout(tmp_path):
+def test_saved_file_has_the_documented_v4_layout(tmp_path):
     docs = [Document("d1", "cold"), Document("d2", "shark"), Document("d3", "shark warm shark"),
             Document("d4", "shark")]
     path = tmp_path / "toy.bin"
     build_index(docs, k1=1.5, b=0.25).save(str(path))
     data = path.read_bytes()
-    assert data[:12] == MAGIC + struct.pack("<I", 3)
-    k1, b, text_size, array_size, *shape = HEADER.unpack_from(data, 12)
+    assert data[:12] == MAGIC + struct.pack("<I", 4)
+    k1, b, names_size, text_size, array_size, text_crc, *shape = HEADER.unpack_from(data, 12)
     assert (k1, b) == (1.5, 0.25)
-    assert BODY + text_size + array_size == len(data)
-    strings = json.dumps([["d1", "d2", "d3", "d4"], [d.text for d in docs],
-                          ["cold", "shark", "warm"]], separators=(",", ":")).encode()
-    assert data[BODY:BODY + text_size] == zlib.compress(strings, 5)
+    assert BODY + names_size + text_size + array_size == len(data)
+    names = json.dumps([["d1", "d2", "d3", "d4"], ["cold", "shark", "warm"]],
+                       separators=(",", ":")).encode()
+    assert data[BODY:BODY + names_size] == zlib.compress(names, 5)
+    texts = json.dumps([d.text for d in docs], separators=(",", ":")).encode()
+    text_stream = data[BODY + names_size:BODY + names_size + text_size]
+    assert text_stream == zlib.compress(texts, 5)
+    assert text_crc == zlib.crc32(text_stream)
     arrays = [
         [1, 1, 3, 1],  # doc_lens
         [1, 3, 1],  # dfs of cold, shark, warm
@@ -360,7 +372,7 @@ def test_saved_file_has_the_documented_v3_layout(tmp_path):
         [1, 1, 2, 1, 1],  # tfs
     ]
     assert shape == [4, 3, 5, 5, 1, 1, 1, 1]
-    assert data[BODY + text_size:] == zlib.compress(bytes(sum(arrays, [])), 6)
+    assert data[BODY + names_size + text_size:] == zlib.compress(bytes(sum(arrays, [])), 6)
 
 
 def test_saved_arrays_take_the_narrowest_width(tmp_path):
@@ -406,19 +418,45 @@ def _v1_file(path):
     path.write_bytes(MAGIC + struct.pack("<I", 1) + zlib.compress(body))
 
 
+def _v3_strings(strings):
+    """The v2 and v3 strings section ``[doc_ids, doc_texts, terms]``."""
+    (doc_ids, terms), texts = map(json.loads, strings)
+    return json.dumps([doc_ids, texts, terms]).encode("utf-8")
+
+
 def _v2_file(path):
     # the same index in format version 2: one zlib stream of a <dd5Q header,
     # the strings section and u32 arrays
     k1, b, strings, arrays, _widths = _read(path)
-    sections = [strings] + [struct.pack(f"<{len(a)}I", *a) for a in arrays]
+    sections = [_v3_strings(strings)] + [struct.pack(f"<{len(a)}I", *a) for a in arrays]
     payload = struct.pack("<dd5Q", k1, b, *map(len, sections)) + b"".join(sections)
     path.write_bytes(MAGIC + struct.pack("<I", 2) + zlib.compress(payload))
 
 
+def _v3_file(path):
+    # the same index in format version 3: a <dd2Q4Q4B header, then the
+    # strings section and the arrays as two zlib streams
+    k1, b, strings, arrays, widths = _read(path)
+    raw = b"".join(struct.pack(f"<{len(a)}{FORMATS[w]}", *a) for a, w in zip(arrays, widths))
+    streams = [zlib.compress(_v3_strings(strings)), zlib.compress(raw)]
+    path.write_bytes(MAGIC + struct.pack("<I", 3)
+                     + struct.pack("<dd2Q4Q4B", k1, b, *map(len, streams), *map(len, arrays),
+                                   *widths)
+                     + b"".join(streams))
+
+
 def _stream_sizes_off_by_one(path):
     data = bytearray(path.read_bytes())
-    k1, b, text_size, array_size, *shape = HEADER.unpack_from(data, 12)
-    HEADER.pack_into(data, 12, k1, b, text_size, array_size + 1, *shape)
+    fields = list(HEADER.unpack_from(data, 12))
+    fields[4] += 1  # the arrays stream's size
+    HEADER.pack_into(data, 12, *fields)
+    path.write_bytes(bytes(data))
+
+
+def _texts_byte_flipped(path):
+    data = bytearray(path.read_bytes())
+    names_size = HEADER.unpack_from(data, 12)[2]
+    data[BODY + names_size + 2] ^= 0xFF  # inside the texts stream, after the zlib header
     path.write_bytes(bytes(data))
 
 
@@ -444,8 +482,8 @@ def _set(position, value):
 
 def _strings(raw):
     def corrupt(path):
-        k1, b, _strings, arrays, widths = _read(path)
-        _write(path, k1, b, raw, arrays, widths)
+        k1, b, (_names, texts), arrays, widths = _read(path)
+        _write(path, k1, b, (raw, texts), arrays, widths)
     return corrupt
 
 
@@ -474,7 +512,9 @@ def _header_only_part(path):
 @pytest.mark.parametrize("corrupt, message", [
     (_v1_file, "unsupported index format version 1"),
     (_v2_file, "unsupported index format version 2"),
+    (_v3_file, "unsupported index format version 3"),
     (_stream_sizes_off_by_one, "do not sum"),
+    (_texts_byte_flipped, "texts stream fails its crc32 check"),
     # same byte size, but sum(dfs) != number of postings
     (_edit_arrays(1, _bump(0, 1)), "section lengths disagree"),
     # the last posting now points past the last document
@@ -491,7 +531,7 @@ def _header_only_part(path):
     (_bm25_params(0.9, math.nan), "b must be >= 0 and <= 1, got nan"),
     (_bm25_params(0.9, math.inf), "b must be >= 0 and <= 1, got inf"),
     (_bm25_params(0.9, 3.0), "b must be >= 0 and <= 1, got 3.0"),
-], ids=["v1", "v2", "sizes", "dfs", "ordinal", "duplicate", "width3", "width8", "strings",
+], ids=["v1", "v2", "v3", "sizes", "texts-crc32", "dfs", "ordinal", "duplicate", "width3", "width8", "strings",
         "header", "k1-nan", "k1-inf", "k1-negative", "b-nan", "b-inf", "b-above-1"])
 def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys,
                                                    corrupt, message):
@@ -503,3 +543,67 @@ def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys
     assert main(["search", "--index", str(path), "--query", "shark"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err
+
+
+def test_concurrent_first_reads_of_doc_texts_share_one_decoded_list(tmp_path, shark_docs,
+                                                                   monkeypatch):
+    path = tmp_path / "toy.bin"
+    build_index(shark_docs).save(str(path))
+    decode, calls = csqe.index._decode_texts, []
+
+    def slow_decode(*args):
+        calls.append(args)
+        time.sleep(0.05)  # every reader arrives while the first one decodes
+        return decode(*args)
+
+    monkeypatch.setattr(csqe.index, "_decode_texts", slow_decode)
+    index = InvertedIndex.load(str(path))
+    start = threading.Barrier(8)
+    seen = []
+
+    def read():
+        start.wait(timeout=10)
+        seen.append(index.doc_texts)
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 8 and len(calls) == 1
+    assert all(texts is seen[0] for texts in seen)
+    assert seen[0] == [d.text for d in shark_docs]
+
+
+def test_a_texts_stream_that_passes_its_crc32_but_is_not_json_fails_only_its_readers(
+        tmp_path, shark_index, capsys):
+    path, queries = tmp_path / "toy.bin", tmp_path / "queries.tsv"
+    shark_index.save(str(path))
+    search = ["search", "--index", str(path), "--query", "shark warm"]
+    assert main(search) == 0
+    hits = capsys.readouterr().out
+    k1, b, (names, _texts), arrays, widths = _read(path)
+    _write(path, k1, b, (names, b"[[not json"), arrays, widths)
+
+    index = InvertedIndex.load(str(path))  # the crc32 matches, so load succeeds
+    with pytest.raises(DataFormatError, match="corrupt index payload"):
+        index.doc_texts
+    assert main(search) == 0
+    assert capsys.readouterr().out == hits
+    queries.write_text("q1\tshark warm\n", encoding="utf-8")
+    fixtures = tmp_path / "fixtures.json"
+    fixtures.write_text("{}", encoding="utf-8")
+    for method, extra in [("rm3", []),
+                          ("csqe", ["--backend", "mock", "--mock-fixtures", str(fixtures)])]:
+        output = tmp_path / f"{method}.txt"
+        assert main(["run", "--method", method, "--queries", str(queries), "--index", str(path),
+                     "--output", str(output), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "corrupt index payload" in err
+        assert not output.exists()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import socket
@@ -377,6 +378,22 @@ def test_cache_corruption_refetches_with_warning(tmp_path, caplog):
     assert backend.calls == [[0], [0]]
     # the refetched entry was rewritten and now verifies
     assert cache.get(fp) is not None
+
+
+def test_cache_entry_that_passes_its_checksum_but_is_not_utf8_refetches_with_warning(
+        tmp_path, caplog):
+    cache = GenerationCache(tmp_path / "cache")
+    backend = SpyBackend()
+    client = LlmClient(backend, cache)
+    fp = sample_fingerprint("spy", "p", 1.0, 0)
+    (cache.root / fp).write_bytes(
+        b"sha256:" + hashlib.sha256(b"\xff").hexdigest().encode("ascii") + b"\n\xff")
+    with caplog.at_level("WARNING"):
+        assert cache.get(fp) is None
+        client.sample_many([("p", 1)])
+    assert "is not UTF-8" in caplog.text
+    assert backend.calls == [[0]]
+    assert cache.get(fp) is not None  # the refetched entry replaced it
 
 
 def test_cache_put_survives_a_nested_put_of_the_same_fingerprint(tmp_path, monkeypatch):
