@@ -6,9 +6,13 @@ lists are ordered by score descending with ties broken by external doc id
 ascending, so rankings do not depend on corpus input order.
 
 In memory the postings are compressed sparse rows: the posting lists of the
-sorted terms laid end to end in two ``array``s, ``ordinals`` (document
-ordinals, ascending within each list) and ``tfs``, with term ``i``'s list at
-``offsets[i]:offsets[i + 1]``.
+sorted terms laid end to end in two ``array``s, ``gaps`` and ``tfs``, with
+term ``i``'s list at ``offsets[i]:offsets[i + 1]``. ``gaps`` holds each list's
+document ordinals, ascending, gap-coded as in the file (the first entry is the
+ordinal itself, each later one the distance to the one before), and a loaded
+index keeps both arrays at the width the file stored. A search decodes a
+term's ordinals on the term's first use and keeps them for later searches, so
+a query decodes only the lists it reads.
 
 On-disk layout (format version 4): the 8-byte magic ``CSQEIDX1``, the
 version as a little-endian u32, a header ``<dd3QI4Q4B`` (k1, b, the byte size
@@ -31,7 +35,8 @@ a bm25 run or ``csqe search`` never decompresses a text.
 
 ``load`` checks that k1 and b pass ``check_bm25_params``, that the stream
 sizes add up to the file, that the texts stream matches its crc32, that the
-array widths and lengths agree, and that every postings list names distinct
+array widths and lengths agree, that the document ids are distinct and the
+terms strictly ascending, and that every postings list names distinct
 documents that exist, and raises ``DataFormatError`` otherwise. A texts
 stream that passes its crc32 but does not decode to one string per document
 raises ``DataFormatError`` from the first read of ``doc_texts``. Files of
@@ -52,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import sub
+from operator import lt, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import Document, tokenize
@@ -124,7 +129,7 @@ class InvertedIndex:
         self,
         terms: list[str],
         offsets: list[int],
-        ordinals: array,
+        gaps: array,
         tfs: array,
         doc_ids: list[str],
         doc_lens: list[int],
@@ -134,8 +139,10 @@ class InvertedIndex:
     ):
         self.terms = terms
         self.offsets = offsets
-        self.ordinals = ordinals
+        self.gaps = gaps
         self.tfs = tfs
+        # each slot's decoded ordinals, filled on the term's first use by _rank
+        self._ordinals: list[array | None] = [None] * len(terms)
         self.doc_ids = doc_ids
         self.doc_lens = doc_lens
         self._texts = doc_texts
@@ -171,7 +178,9 @@ class InvertedIndex:
         return 0 if slot is None else self.offsets[slot + 1] - self.offsets[slot]
 
     def idf(self, term: str) -> float:
-        df = self.df(term)
+        return self._idf(self.df(term))
+
+    def _idf(self, df: int) -> float:
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
     def ordinal(self, doc_id: str) -> int:
@@ -183,6 +192,7 @@ class InvertedIndex:
         scores: dict[int, float] = {}
         get = scores.get
         knorm = self._knorm
+        decoded = self._ordinals
         k1p1 = self.k1 + 1.0
         for term, weight in term_weights.items():
             if weight == 0.0:
@@ -191,8 +201,13 @@ class InvertedIndex:
             if slot is None:
                 continue
             start, end = self.offsets[slot], self.offsets[slot + 1]
-            wi = weight * self.idf(term)
-            for o, tf in zip(self.ordinals[start:end], self.tfs[start:end]):
+            ordinals = decoded[slot]
+            if ordinals is None:
+                # threads racing on a term's first use each decode an equal array, and a
+                # list item store is atomic, so every reader sees a whole list: no lock
+                ordinals = decoded[slot] = array(_U32, accumulate(self.gaps[start:end]))
+            wi = weight * self._idf(end - start)
+            for o, tf in zip(ordinals, self.tfs[start:end]):
                 scores[o] = get(o, 0.0) + wi * tf * k1p1 / (tf + knorm[o])
         # doc-id order first, then a stable sort by score: ties stay in doc-id order
         ranked = sorted(scores, key=self._id_rank.__getitem__)
@@ -222,13 +237,8 @@ class InvertedIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        spans = list(zip(self.offsets, self.offsets[1:]))
-        gaps = array(_U32)
-        for start, end in spans:
-            run = self.ordinals[start:end]
-            gaps.extend(map(sub, run, chain((0,), run)))
-        arrays = [_narrowest(values) for values in
-                  (self.doc_lens, [end - start for start, end in spans], gaps, self.tfs)]
+        dfs = list(map(sub, self.offsets[1:], self.offsets))
+        arrays = [_narrowest(values) for values in (self.doc_lens, dfs, self.gaps, self.tfs)]
         streams = [zlib.compress(_json_bytes(strings), _STRING_LEVEL)
                    for strings in ([self.doc_ids, self.terms], self.doc_texts)]
         streams.append(zlib.compress(b"".join(map(_le_bytes, arrays)), _ARRAY_LEVEL))
@@ -274,22 +284,24 @@ class InvertedIndex:
                     and all(_is_str_list(part) for part in strings)):
                 raise ValueError("names stream is not two lists of strings")
             doc_ids, terms = strings
+            if len(set(doc_ids)) != len(doc_ids):
+                raise ValueError("duplicate document id")
+            if not all(map(lt, terms, terms[1:])):
+                raise ValueError("terms are not strictly ascending")
             doc_lens, dfs, gaps, tfs = _read_arrays(zlib.decompress(packed), shape[:4], shape[4:])
             if not (len(doc_ids) == len(doc_lens) and len(terms) == len(dfs)
                     and sum(dfs) == len(gaps) == len(tfs)):
                 raise ValueError("section lengths disagree")
             offsets = [0, *accumulate(dfs)]
-            ordinals = array(_U32)
             for start, end in zip(offsets, offsets[1:]):
                 run = gaps[start:end]
                 if 0 in run[1:]:
                     raise ValueError("duplicate ordinal in a postings list")
                 if run and sum(run) >= len(doc_ids):
                     raise ValueError("posting ordinal out of range")
-                ordinals.extend(accumulate(run))
         except (zlib.error, ValueError) as exc:
             raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
-        return cls(terms, offsets, ordinals, tfs, doc_ids, doc_lens.tolist(),
+        return cls(terms, offsets, gaps, tfs, doc_ids, doc_lens.tolist(),
                    partial(_decode_texts, path, texts, len(doc_ids)), k1=k1, b=b)
 
 
@@ -381,7 +393,11 @@ def build_index(
             else:
                 entry += (ordinal, tf)
     terms = sorted(flat)
-    pairs = list(chain.from_iterable(map(flat.__getitem__, terms)))
+    gaps, tfs = array(_U32), array(_U32)
+    for term in terms:
+        entry = flat[term]
+        run = entry[0::2]
+        gaps.extend(map(sub, run, chain((0,), run)))
+        tfs.extend(entry[1::2])
     offsets = [0, *accumulate(len(flat[term]) // 2 for term in terms)]
-    return InvertedIndex(terms, offsets, array(_U32, pairs[0::2]), array(_U32, pairs[1::2]),
-                         doc_ids, doc_lens, doc_texts, k1=k1, b=b)
+    return InvertedIndex(terms, offsets, gaps, tfs, doc_ids, doc_lens, doc_texts, k1=k1, b=b)

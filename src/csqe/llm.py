@@ -34,6 +34,7 @@ import http.client
 import json
 import logging
 import os
+import re
 import threading
 import time
 import urllib.error
@@ -256,11 +257,16 @@ class RemoteBackend:
         return texts[:n]
 
 
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}")  # a sample fingerprint
+
+
 class GenerationCache:
     """One file per sample fingerprint under a root directory.
 
     Entry layout: a ``sha256:<hex>`` checksum line, then the completion
     bytes verbatim. Corrupt entries are dropped with a warning and refetched.
+    An entry's name is its fingerprint, 64 lowercase hex digits; ``stats``
+    and ``clear`` leave every other file in the directory alone.
     """
 
     def __init__(self, root):
@@ -298,7 +304,7 @@ class GenerationCache:
         os.replace(tmp, self.root / fingerprint)
 
     def _entries(self):
-        return [p for p in self.root.iterdir() if p.is_file() and ".tmp." not in p.name]
+        return [p for p in self.root.iterdir() if _ENTRY_NAME.fullmatch(p.name) and p.is_file()]
 
     def stats(self) -> dict:
         entries = self._entries()

@@ -637,6 +637,18 @@ def test_run_with_cache_then_cache_subcommands(toy_index, tmp_path, capsys):
     assert GenerationCache(cache_dir).stats()["entries"] == 0
 
 
+def test_cache_stats_and_clear_leave_files_that_are_not_entries(tmp_path, capsys):
+    root = tmp_path / "cache"
+    GenerationCache(root).put("c" * 64, "x")
+    (root / "notes.txt").write_text("not a cache entry", encoding="utf-8")
+    (root / ("C" * 64)).write_text("not lowercase hex", encoding="utf-8")
+    assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "entries\t1"
+    assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
+    assert capsys.readouterr().out == "removed\t1\n"
+    assert sorted(p.name for p in root.iterdir()) == ["C" * 64, "notes.txt"]
+
+
 @pytest.mark.parametrize("action", ["stats", "clear"])
 def test_cache_subcommands_refuse_a_cache_dir_that_does_not_exist(tmp_path, capsys, action):
     missing = tmp_path / "no" / "cache"

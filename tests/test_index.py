@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import zlib
+from array import array
 from itertools import accumulate
 
 import pytest
@@ -59,13 +60,18 @@ def test_build_index_rejects_duplicate_ids():
         build_index([Document("dup", "x1"), Document("dup", "x2")])
 
 
+def _decoded_lists(index):
+    """Each term's postings ordinals, decoded from ``index.gaps``."""
+    return [list(accumulate(index.gaps[start:end]))
+            for start, end in zip(index.offsets, index.offsets[1:])]
+
+
 def test_postings_sorted_and_df_consistent(shark_index):
     index = shark_index
     assert index.terms == sorted(set(index.terms))
     assert index.offsets[0] == 0
-    assert index.offsets[-1] == len(index.ordinals) == len(index.tfs)
-    for slot, term in enumerate(index.terms):
-        run = list(index.ordinals[index.offsets[slot]:index.offsets[slot + 1]])
+    assert index.offsets[-1] == len(index.gaps) == len(index.tfs)
+    for term, run in zip(index.terms, _decoded_lists(index), strict=True):
         assert run == sorted(set(run))  # ascending, each document once
         assert index.df(term) == len(run) > 0
 
@@ -403,7 +409,8 @@ def test_save_load_round_trips_exactly(tmp_path_factory, texts, k1, b, query):
     index.save(str(path))
     loaded = InvertedIndex.load(str(path))
     assert (loaded.terms, loaded.offsets) == (index.terms, index.offsets)
-    assert (loaded.ordinals, loaded.tfs) == (index.ordinals, index.tfs)
+    assert (loaded.gaps, loaded.tfs) == (index.gaps, index.tfs)
+    assert _decoded_lists(loaded) == _decoded_lists(index)
     assert (loaded.doc_ids, loaded.doc_lens, loaded.doc_texts) == (
         index.doc_ids, index.doc_lens, index.doc_texts
     )
@@ -521,6 +528,10 @@ def _header_only_part(path):
     (_edit_arrays(2, _bump(-1, 3)), "ordinal out of range"),
     # shark's list becomes d1, d1
     (_edit_arrays(2, _set(2, 0)), "duplicate ordinal"),
+    (_strings(b'[["d1","d1","d3"],["cold","shark","warm"]]'), "duplicate document id"),
+    (_strings(b'[["d1","d2","d3"],["cold","warm","shark"]]'), "terms are not strictly ascending"),
+    (_strings(b'[["d1","d2","d3"],["cold","shark","shark"]]'),
+     "terms are not strictly ascending"),
     (_width(3), "array width 3 is not 1, 2 or 4"),
     (_width(8), "array width 8 is not 1, 2 or 4"),
     (_strings(b"[[not json"), "corrupt index payload"),
@@ -531,7 +542,8 @@ def _header_only_part(path):
     (_bm25_params(0.9, math.nan), "b must be >= 0 and <= 1, got nan"),
     (_bm25_params(0.9, math.inf), "b must be >= 0 and <= 1, got inf"),
     (_bm25_params(0.9, 3.0), "b must be >= 0 and <= 1, got 3.0"),
-], ids=["v1", "v2", "v3", "sizes", "texts-crc32", "dfs", "ordinal", "duplicate", "width3", "width8", "strings",
+], ids=["v1", "v2", "v3", "sizes", "texts-crc32", "dfs", "ordinal", "duplicate",
+        "duplicate-doc-id", "unsorted-terms", "repeated-term", "width3", "width8", "strings",
         "header", "k1-nan", "k1-inf", "k1-negative", "b-nan", "b-inf", "b-above-1"])
 def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys,
                                                    corrupt, message):
@@ -579,6 +591,50 @@ def test_concurrent_first_reads_of_doc_texts_share_one_decoded_list(tmp_path, sh
     assert len(seen) == 8 and len(calls) == 1
     assert all(texts is seen[0] for texts in seen)
     assert seen[0] == [d.text for d in shark_docs]
+
+
+def test_a_one_term_search_on_a_loaded_index_decodes_one_list(tmp_path, shark_index):
+    path = tmp_path / "toy.bin"
+    shark_index.save(str(path))
+    index = InvertedIndex.load(str(path))
+    assert index.terms == ["cold", "shark", "warm"]
+    assert index._ordinals == [None, None, None]
+    hits = index.search("shark", 10)
+    assert hits == shark_index.search("shark", 10)
+    assert index._ordinals == [None, array("I", [0, 1]), None]
+    decoded = index._ordinals[1]
+    assert index.search("shark", 10) == hits
+    assert index._ordinals[1] is decoded  # a later search reuses the decoded list
+
+
+def test_concurrent_first_uses_of_a_term_all_get_the_same_hits(tmp_path):
+    # a long list, so the first decodes overlap
+    docs = [Document(f"d{i:04d}", "shark " * (1 + i % 3) + "warm") for i in range(3000)]
+    built = build_index(docs)
+    path = tmp_path / "long.bin"
+    built.save(str(path))
+    index = InvertedIndex.load(str(path))
+    expected = built.search("shark", 50)
+    start = threading.Barrier(8)
+    seen = []
+
+    def search():
+        start.wait(timeout=10)
+        seen.append(index.search("shark", 50))
+
+    threads = [threading.Thread(target=search) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 8 and all(hits == expected for hits in seen)
+    assert index.search("shark", 50) == expected
 
 
 def test_a_texts_stream_that_passes_its_crc32_but_is_not_json_fails_only_its_readers(
