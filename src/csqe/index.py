@@ -54,6 +54,7 @@ import uuid
 import zlib
 from array import array
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, repeat
@@ -246,12 +247,17 @@ class InvertedIndex:
                               *map(len, arrays), *(values.itemsize for values in arrays))
         # unique per call: concurrent or nested saves to one path never share it
         tmp = f"{path}.tmp.{uuid.uuid4().hex}"
-        with open(tmp, "xb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", _FORMAT_VERSION))
-            fh.write(header)
-            fh.writelines(streams)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(_MAGIC)
+                fh.write(struct.pack("<I", _FORMAT_VERSION))
+                fh.write(header)
+                fh.writelines(streams)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(FileNotFoundError):  # open itself failed
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "InvertedIndex":

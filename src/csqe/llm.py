@@ -1,10 +1,11 @@
-"""Text-generation backends with per-sample fingerprinting and a file cache.
+"""Text-generation backends with per-request fingerprinting and a file cache.
 
 ``LlmClient.sample_many`` is the one entry point: it takes ``(prompt, n)``
-requests, looks each sample up in the cache, sends every miss to the backend
-in one ``fetch_many`` call and stores what came back. When a job fails, the
-jobs that succeeded are still stored before the first failure is raised, so
-a failed job never costs the samples fetched beside it.
+requests, looks each request up in the cache, sends every request with
+samples missing to the backend in one ``fetch_many`` call and stores what
+came back. When a job fails, the jobs that succeeded are still stored before
+the first failure is raised, so a failed job never costs the samples fetched
+beside it.
 
 A backend provides ``model_id``, ``fetch(prompt, temperature, ordinals)``,
 which returns one text per ordinal, and ``fetch_many(jobs)``, which takes a
@@ -23,10 +24,13 @@ outcome in job order: its texts, or the exception its fetch raised.
   whole pipeline runs deterministic and offline. It never waits, so its
   ``fetch_many`` runs the jobs one after another on the calling thread.
 
-Every sample is addressed by a stable fingerprint of (the backend's
-``model_id``, prompt, temperature, ordinal); the cache stores one file per
-fingerprint with an integrity checksum line, so warm runs never touch a
-backend and a bumped sample count fetches only the new ordinals.
+Every request is addressed by a stable fingerprint of (the backend's
+``model_id``, prompt, temperature); the cache stores one file per
+fingerprint, holding the request's samples in ordinal order under an
+integrity checksum line, so warm runs never touch a backend and a bumped
+sample count fetches only the new ordinals. Entries written by earlier
+versions, one file per sample fingerprint, are never read; ``stats`` counts
+them and ``clear`` removes them.
 """
 
 import hashlib
@@ -59,6 +63,7 @@ def prompt_hash(prompt: str) -> str:
 
 
 def sample_fingerprint(model_id: str, prompt: str, temperature: float, ordinal: int) -> str:
+    """Name of one sample's entry in caches written before entries held whole requests."""
     key = json.dumps(
         {"model": model_id, "prompt": prompt, "temperature": temperature, "ordinal": ordinal},
         sort_keys=True,
@@ -67,13 +72,14 @@ def sample_fingerprint(model_id: str, prompt: str, temperature: float, ordinal: 
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
-def request_fingerprint(req) -> str:
-    """Digest of the sample fingerprints of ``req`` (model_id, prompt, temperature, n_samples)."""
-    parts = "".join(
-        sample_fingerprint(req.model_id, req.prompt, req.temperature, i)
-        for i in range(req.n_samples)
+def request_fingerprint(model_id: str, prompt: str, temperature: float) -> str:
+    """Cache key of one request: every sample of (model_id, prompt, temperature)."""
+    key = json.dumps(
+        {"model": model_id, "prompt": prompt, "temperature": temperature},
+        sort_keys=True,
+        ensure_ascii=False,
     )
-    return hashlib.sha256(parts.encode("ascii")).hexdigest()
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
 def fixture_key(prompt: str, ordinal: int) -> str:
@@ -257,23 +263,27 @@ class RemoteBackend:
         return texts[:n]
 
 
-_ENTRY_NAME = re.compile(r"[0-9a-f]{64}")  # a sample fingerprint
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}")  # a request fingerprint
 
 
 class GenerationCache:
-    """One file per sample fingerprint under a root directory.
+    """One file per request fingerprint under a root directory.
 
-    Entry layout: a ``sha256:<hex>`` checksum line, then the completion
-    bytes verbatim. Corrupt entries are dropped with a warning and refetched.
-    An entry's name is its fingerprint, 64 lowercase hex digits; ``stats``
-    and ``clear`` leave every other file in the directory alone.
+    Entry layout: a ``sha256:<hex>`` checksum line, then the request's
+    samples in ordinal order as a UTF-8 JSON list of strings. An entry that
+    fails its checksum, is not UTF-8 or is not such a list is dropped with a
+    warning and refetched. An entry's name is its fingerprint, 64 lowercase
+    hex digits; ``stats`` and ``clear`` leave every other file in the
+    directory alone. Entries of earlier versions, named by sample
+    fingerprints, are never looked up, but ``stats`` counts them and
+    ``clear`` removes them.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def get(self, fingerprint: str) -> Optional[str]:
+    def get(self, fingerprint: str) -> Optional[list[str]]:
         try:
             blob = (self.root / fingerprint).read_bytes()
         except FileNotFoundError:
@@ -289,19 +299,29 @@ class GenerationCache:
             log.warning("cache entry %s failed its integrity check; refetching", fingerprint)
             return None
         try:
-            return body.decode("utf-8")
+            texts = json.loads(body.decode("utf-8"))
         except UnicodeDecodeError:
             log.warning("cache entry %s is not UTF-8; refetching", fingerprint)
             return None
+        except ValueError:
+            texts = None
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            log.warning("cache entry %s is not a JSON list of strings; refetching", fingerprint)
+            return None
+        return texts
 
-    def put(self, fingerprint: str, text: str) -> None:
-        body = text.encode("utf-8")
+    def put(self, fingerprint: str, texts: list[str]) -> None:
+        body = json.dumps(texts).encode("ascii")  # escapes keep lone surrogates storable
         payload = b"sha256:" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body
         # unique per call: writers of one fingerprint, even nested on one thread, never share it
         tmp = self.root / f"{fingerprint}.tmp.{uuid.uuid4().hex}"
-        with open(tmp, "xb") as fh:
-            fh.write(payload)
-        os.replace(tmp, self.root / fingerprint)
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(payload)
+            os.replace(tmp, self.root / fingerprint)
+        except BaseException:
+            tmp.unlink(missing_ok=True)  # no entry name: `clear` would never remove it
+            raise
 
     def _entries(self):
         return [p for p in self.root.iterdir() if _ENTRY_NAME.fullmatch(p.name) and p.is_file()]
@@ -328,33 +348,32 @@ class LlmClient:
                     temperature: float = DEFAULT_TEMPERATURE) -> list[list[str]]:
         """``n`` texts for each ``(prompt, n)`` request, in request and sample order.
 
-        With a cache, samples are looked up by fingerprint and only the
-        missing ordinals reach the backend. Every miss of every request goes
-        to the backend in one ``fetch_many`` call, so a backend that overlaps
-        its jobs waits once per call. Lookups and stores run on the calling
-        thread. When a job fails, the jobs that succeeded are still stored,
-        and then the first failure in job order is raised.
+        With a cache, each request is looked up by its fingerprint, and only
+        the ordinals past the stored samples reach the backend; the whole
+        list is then stored again. Every request with samples missing goes
+        to the backend in one ``fetch_many`` call, so a backend that
+        overlaps its jobs waits once per call. Lookups and stores run on the
+        calling thread. When a job fails, the jobs that succeeded are still
+        stored, and then the first failure in job order is raised.
         """
         model_id = self.backend.model_id
-        texts: list[list[Optional[str]]] = []
+        texts: list[list[str]] = []
         jobs = []
-        pending = []  # (texts slot, fingerprints, missing ordinals) for each job
+        pending = []  # (texts slot, fingerprint) for each job
         for prompt, n in requests:
-            if self.cache is None:
-                fingerprints = None
-                slot: list[Optional[str]] = [None] * n
-            else:
-                fingerprints = [sample_fingerprint(model_id, prompt, temperature, i)
-                                for i in range(n)]
-                slot = [self.cache.get(fp) for fp in fingerprints]
+            fingerprint = None
+            stored: list[str] = []
+            if self.cache is not None:
+                fingerprint = request_fingerprint(model_id, prompt, temperature)
+                stored = self.cache.get(fingerprint) or []
+            slot = stored[:n]
             texts.append(slot)
-            missing = [i for i, t in enumerate(slot) if t is None]
-            if missing:
-                jobs.append((prompt, temperature, missing))
-                pending.append((slot, fingerprints, missing))
+            if len(slot) < n:
+                jobs.append((prompt, temperature, list(range(len(slot), n))))
+                pending.append((slot, fingerprint))
         outcomes = self.backend.fetch_many(jobs) if jobs else []
         failure = None
-        for (slot, fingerprints, missing), fetched in zip(pending, outcomes):
+        for (_, _, missing), (slot, fingerprint), fetched in zip(jobs, pending, outcomes):
             if isinstance(fetched, BaseException):
                 failure = failure or fetched
             elif len(fetched) != len(missing):
@@ -362,10 +381,9 @@ class LlmClient:
                     f"backend produced {len(fetched)} samples, expected {len(missing)}"
                 )
             else:
-                for ordinal, text in zip(missing, fetched):
-                    if self.cache is not None:
-                        self.cache.put(fingerprints[ordinal], text)
-                    slot[ordinal] = text
+                slot.extend(fetched)
+                if self.cache is not None:
+                    self.cache.put(fingerprint, slot)
         if failure is not None:
             raise failure
         return texts

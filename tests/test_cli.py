@@ -502,12 +502,12 @@ def test_config_temperature_given_as_an_integer_replays_the_flag_s_cache(toy_ind
     first = tmp_path / "flag.txt"
     assert main(_run_args("csqe", toy_index, first, "--temperature", "1",
                           "--cache-dir", str(cache_dir), *_mock_args())) == 0
-    assert GenerationCache(cache_dir).stats()["entries"] == 20
+    assert GenerationCache(cache_dir).stats()["entries"] == 10
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"temperature": 1, "cache_dir": str(cache_dir)}), encoding="utf-8")
     second = tmp_path / "config.txt"
     assert main(_run_args("csqe", toy_index, second, "--config", str(config), *_mock_args())) == 0
-    assert GenerationCache(cache_dir).stats()["entries"] == 20
+    assert GenerationCache(cache_dir).stats()["entries"] == 10
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -624,7 +624,7 @@ def test_run_with_cache_then_cache_subcommands(toy_index, tmp_path, capsys):
     assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
     stats_out = capsys.readouterr().out
     entries = int(stats_out.splitlines()[0].split("\t")[1])
-    assert entries == 20  # 5 queries x (2 csqe + 2 keqe) samples
+    assert entries == 10  # 5 queries x (1 csqe + 1 keqe) requests
     # warm cache serves a re-run even with an empty fixture table
     empty = tmp_path / "empty.json"
     empty.write_text("{}", encoding="utf-8")
@@ -637,9 +637,49 @@ def test_run_with_cache_then_cache_subcommands(toy_index, tmp_path, capsys):
     assert GenerationCache(cache_dir).stats()["entries"] == 0
 
 
+def test_keqe_run_reuses_the_keqe_samples_a_csqe_run_cached(toy_index, tmp_path):
+    cache_dir = tmp_path / "cache"
+    assert main(_run_args("csqe", toy_index, tmp_path / "csqe.txt", "--cache-dir", str(cache_dir),
+                          *_mock_args())) == 0
+    # the csqe run cached KEQE samples 0-1 of each query; keqe (n=5) fetches only 2-4
+    fixtures = json.loads((TOY_DIR / "fixtures.json").read_text(encoding="utf-8"))
+    queries = (TOY_DIR / "queries.tsv").read_text(encoding="utf-8").splitlines()
+    keys = [fixture_key(build_keqe_prompt(line.split("\t", 1)[1]), i)
+            for line in queries for i in range(2, 5)]
+    only_new = tmp_path / "keqe_2_to_4.json"
+    only_new.write_text(json.dumps({key: fixtures[key] for key in keys}), encoding="utf-8")
+    out = tmp_path / "keqe.txt"
+    assert main(_run_args("keqe", toy_index, out, "--cache-dir", str(cache_dir),
+                          "--backend", "mock", "--mock-fixtures", str(only_new))) == 0
+    assert GenerationCache(cache_dir).stats()["entries"] == 10
+    uncached = tmp_path / "keqe_uncached.txt"
+    assert main(_run_args("keqe", toy_index, uncached, *_mock_args())) == 0
+    assert out.read_bytes() == uncached.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["index", "run"])
+def test_a_failed_write_leaves_no_temporary_file(toy_index, tmp_path, monkeypatch, capsys,
+                                                 command):
+    def replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    target = tmp_path / "out"
+    target.mkdir()
+    argv = {
+        "index": ["index", "--input", str(TOY_DIR / "corpus.jsonl"),
+                  "--output", str(target / "toy.bin")],
+        "run": _run_args("csqe", toy_index, tmp_path / "r.txt", "--cache-dir", str(target),
+                         *_mock_args()),
+    }[command]
+    monkeypatch.setattr("os.replace", replace)
+    assert main(argv) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(target.iterdir()) == []
+
+
 def test_cache_stats_and_clear_leave_files_that_are_not_entries(tmp_path, capsys):
     root = tmp_path / "cache"
-    GenerationCache(root).put("c" * 64, "x")
+    GenerationCache(root).put("c" * 64, ["x"])
     (root / "notes.txt").write_text("not a cache entry", encoding="utf-8")
     (root / ("C" * 64)).write_text("not lowercase hex", encoding="utf-8")
     assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
@@ -661,7 +701,7 @@ def test_run_creates_its_cache_dir(toy_index, tmp_path):
     cache_dir = tmp_path / "new" / "cache"
     assert main(_run_args("csqe", toy_index, tmp_path / "r.txt", "--cache-dir", str(cache_dir),
                           *_mock_args())) == 0
-    assert GenerationCache(cache_dir).stats()["entries"] == 20
+    assert GenerationCache(cache_dir).stats()["entries"] == 10
 
 
 @pytest.mark.parametrize("threshold", ["0", "-1"])

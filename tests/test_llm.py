@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import socket
+import tempfile
 import threading
 import time
 import urllib.request
@@ -18,6 +19,7 @@ from csqe.llm import (
     RemoteBackend,
     fixture_key,
     prompt_hash,
+    request_fingerprint,
     sample_fingerprint,
 )
 
@@ -48,7 +50,6 @@ class SpyBackend:
             st.sampled_from(["m1", "m2"]),
             st.text(min_size=1, max_size=20),
             st.sampled_from([0.0, 0.7, 1.0]),
-            st.integers(min_value=0, max_value=5),
         ),
         min_size=2,
         max_size=30,
@@ -56,16 +57,17 @@ class SpyBackend:
     )
 )
 def test_fingerprints_injective(tuples):
-    fingerprints = [sample_fingerprint(*t) for t in tuples]
+    fingerprints = [request_fingerprint(*t) for t in tuples]
     assert len(set(fingerprints)) == len(fingerprints)
 
 
 def test_fingerprint_stable_across_runs():
-    fp = sample_fingerprint("m", "p", 1.0, 0)
+    fp = request_fingerprint("m", "p", 1.0)
     # pinned: a different value would orphan every cache entry already written
-    assert fp == "7ae22f99009083537fd8c39058818e50fd1b72ba657684cd7280074d2b04018b"
-    assert fp != sample_fingerprint("m", "p", 0.5, 0)
-    assert fp != sample_fingerprint("m", "p", 1.0, 1)
+    assert fp == "3f4da142b4db034d1e3e7ad74c08b79f78d7e7e2dea8a6987bee2fca7ed1b376"
+    assert fp != request_fingerprint("m", "p", 0.5)
+    assert fp != request_fingerprint("n", "p", 1.0)
+    assert fp != sample_fingerprint("m", "p", 1.0, 0)  # an entry of the per-sample layout
 
 
 # -- mock backend ------------------------------------------------------------------
@@ -292,8 +294,8 @@ def test_cache_keeps_the_jobs_that_succeeded_when_another_fails(stub_server, tmp
     client = LlmClient(RemoteBackend(endpoint, model_id="m", backoff=0.0), cache=cache)
     with pytest.raises(BackendError, match="HTTP 400"):
         client.sample_many(order)
-    assert [cache.get(sample_fingerprint("m", csqe, 1.0, i)) for i in range(2)] == ["e0", "e1"]
-    assert cache.stats()["entries"] == 2
+    assert cache.get(request_fingerprint("m", csqe, 1.0)) == ["e0", "e1"]
+    assert cache.stats()["entries"] == 1
     handler.by_prompt[keqe] = (200, _choices("k0", "k1"))
     handler.seen.clear()
     texts = client.sample_many(order)
@@ -359,9 +361,9 @@ def test_cache_fetches_only_new_ordinals(tmp_path):
 
 def test_cache_survives_newlines_and_unicode(tmp_path):
     cache = GenerationCache(tmp_path / "cache")
-    text = "line one\n\nline two — café\n"
-    cache.put("f" * 64, text)
-    assert cache.get("f" * 64) == text
+    texts = ["line one\n\nline two — café\n", "", "a lone \ud800 surrogate"]
+    cache.put("f" * 64, texts)
+    assert cache.get("f" * 64) == texts
 
 
 def test_cache_corruption_refetches_with_warning(tmp_path, caplog):
@@ -369,7 +371,7 @@ def test_cache_corruption_refetches_with_warning(tmp_path, caplog):
     backend = SpyBackend()
     client = LlmClient(backend, cache)
     client.sample_many([("p", 1)])
-    fp = sample_fingerprint("spy", "p", 1.0, 0)
+    fp = request_fingerprint("spy", "p", 1.0)
     entry = cache.root / fp
     entry.write_bytes(entry.read_bytes()[:-1] + b"?")
     with caplog.at_level("WARNING"):
@@ -385,7 +387,7 @@ def test_cache_entry_that_passes_its_checksum_but_is_not_utf8_refetches_with_war
     cache = GenerationCache(tmp_path / "cache")
     backend = SpyBackend()
     client = LlmClient(backend, cache)
-    fp = sample_fingerprint("spy", "p", 1.0, 0)
+    fp = request_fingerprint("spy", "p", 1.0)
     (cache.root / fp).write_bytes(
         b"sha256:" + hashlib.sha256(b"\xff").hexdigest().encode("ascii") + b"\n\xff")
     with caplog.at_level("WARNING"):
@@ -394,6 +396,24 @@ def test_cache_entry_that_passes_its_checksum_but_is_not_utf8_refetches_with_war
     assert "is not UTF-8" in caplog.text
     assert backend.calls == [[0]]
     assert cache.get(fp) is not None  # the refetched entry replaced it
+
+
+@pytest.mark.parametrize("body", [b'"one text"', b'{"0": "x"}', b'["x", 1]', b'["x"', b""],
+                         ids=["string", "object", "non-string-item", "truncated", "empty"])
+def test_cache_entry_that_passes_its_checksum_but_is_not_a_list_of_strings_refetches(
+        tmp_path, caplog, body):
+    cache = GenerationCache(tmp_path / "cache")
+    backend = SpyBackend()
+    client = LlmClient(backend, cache)
+    fp = request_fingerprint("spy", "p", 1.0)
+    (cache.root / fp).write_bytes(
+        b"sha256:" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body)
+    with caplog.at_level("WARNING"):
+        assert cache.get(fp) is None
+        client.sample_many([("p", 1)])
+    assert "is not a JSON list of strings" in caplog.text
+    assert backend.calls == [[0]]
+    assert cache.get(fp) == [f"{prompt_hash('p')[:8]}/0"]
 
 
 def test_cache_put_survives_a_nested_put_of_the_same_fingerprint(tmp_path, monkeypatch):
@@ -405,13 +425,13 @@ def test_cache_put_survives_a_nested_put_of_the_same_fingerprint(tmp_path, monke
     def replace(src, dst):
         if not nested:
             nested.append(src)
-            cache.put(fp, "inner")  # a second writer of the fingerprint finishes first
+            cache.put(fp, ["inner"])  # a second writer of the fingerprint finishes first
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
-    cache.put(fp, "outer")
+    cache.put(fp, ["outer"])
     assert nested
-    assert cache.get(fp) == "outer"
+    assert cache.get(fp) == ["outer"]
     assert [p.name for p in cache.root.iterdir()] == [fp]
 
 
@@ -429,10 +449,51 @@ def test_sample_many_sends_every_miss_in_one_backend_call(tmp_path):
     ]
 
 
+_PROMPTS = st.sampled_from(["a", "b", "c"])
+_CALLS = st.lists(
+    st.tuples(st.dictionaries(_PROMPTS, st.integers(min_value=0, max_value=4), max_size=3),
+              st.sampled_from([0.5, 1.0])),
+    max_size=8,
+)
+
+
+@given(_CALLS)
+def test_cached_client_returns_what_an_uncached_one_does_and_refetches_nothing(calls):
+    plain, cached = SpyBackend(), SpyBackend()
+    stored = {}  # (prompt, temperature) -> samples stored so far
+    with tempfile.TemporaryDirectory() as root:
+        client = LlmClient(cached, GenerationCache(root))
+        for wanted, temperature in calls:
+            requests = list(wanted.items())
+            cached.calls.clear()
+            assert (client.sample_many(requests, temperature)
+                    == LlmClient(plain).sample_many(requests, temperature))
+            jobs = iter(cached.calls)
+            for prompt, n in requests:
+                have = stored.get((prompt, temperature), 0)
+                if n > have:
+                    assert next(jobs) == list(range(have, n))
+                    stored[(prompt, temperature)] = n
+            assert next(jobs, None) is None
+
+
+def test_entries_of_the_per_sample_layout_are_never_read_but_are_cleared(tmp_path):
+    cache = GenerationCache(tmp_path / "cache")
+    old = cache.root / sample_fingerprint("spy", "p", 1.0, 0)
+    body = b"an old sample"
+    old.write_bytes(b"sha256:" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body)
+    backend = SpyBackend()
+    assert LlmClient(backend, cache).sample_many([("p", 1)]) == [[f"{prompt_hash('p')[:8]}/0"]]
+    assert backend.calls == [[0]]
+    assert cache.stats()["entries"] == 2
+    assert cache.clear() == 2
+    assert not old.exists()
+
+
 def test_cache_stats_and_clear(tmp_path):
     cache = GenerationCache(tmp_path / "cache")
-    cache.put("a" * 64, "x")
-    cache.put("b" * 64, "y")
+    cache.put("a" * 64, ["x"])
+    cache.put("b" * 64, ["y"])
     stats = cache.stats()
     assert stats["entries"] == 2 and stats["bytes"] > 0
     assert cache.clear() == 2
