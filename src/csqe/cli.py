@@ -238,15 +238,15 @@ def cmd_search(args) -> int:
 
 
 def _query_runner(method: str, config: dict, index: InvertedIndex):
-    """Build ``method``'s query runner and LLM client from resolved settings.
+    """Build ``method``'s query runner from resolved settings.
 
-    The runner maps a ``Query`` and the prompt dump (or None) to its ranked
-    hits. The client is None for the methods that need no LLM. KEQE is the
-    CSQE pipeline without the extraction step (``n_csqe=0``).
+    The runner maps a ``Query`` to its ranked hits and its generations (see
+    ``csqe_pipeline``; bm25 and rm3 have none). KEQE is the CSQE pipeline
+    without the extraction step (``n_csqe=0``).
     """
     topk = config["topk"]
     if method == "bm25":
-        return (lambda query, _dump: index.search(query.text, topk)), None
+        return lambda query: (index.search(query.text, topk), [])
     if method == "rm3":
         try:
             rm3_cfg = prf.Rm3Config(
@@ -257,13 +257,13 @@ def _query_runner(method: str, config: dict, index: InvertedIndex):
         except ValueError as exc:
             raise UsageError(str(exc))
 
-        def rm3(query, _dump):
+        def rm3(query):
             try:
-                return prf.rm3_search(index, query.text, rm3_cfg, topk)
+                return prf.rm3_search(index, query.text, rm3_cfg, topk), []
             except ValueError:
                 log.warning("query %s has no indexable terms; empty result", query.id)
-                return []
-        return rm3, None
+                return [], []
+        return rm3
 
     client = _build_llm_client(config)
     try:
@@ -276,8 +276,7 @@ def _query_runner(method: str, config: dict, index: InvertedIndex):
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    return (lambda query, dump: expansion.csqe_pipeline(query, index, client, cfg,
-                                                        top_k=topk, dump=dump)), client
+    return lambda query: expansion.csqe_pipeline(query, index, client, cfg, top_k=topk)
 
 
 def cmd_run(args) -> int:
@@ -290,30 +289,31 @@ def cmd_run(args) -> int:
         # decode the texts on this thread: a --jobs worker would decode them into its own
         # malloc arena, which adds to the peak RSS of a process that runs several commands
         index.doc_texts
-    run_one, client = _query_runner(args.method, config, index)
-    dump = expansion.PromptDump(args.dump_prompts) if args.dump_prompts else None
+    run_one = _query_runner(args.method, config, index)
+    if args.dump_prompts:  # a directory that cannot be made fails before any backend call
+        os.makedirs(args.dump_prompts, exist_ok=True)
 
     def run_query(query):
         log.info("query %s: %s", query.id, query.text)
-        return run_one(query, dump)
+        return run_one(query)
 
     if config["jobs"] > 1:
         with ThreadPoolExecutor(max_workers=config["jobs"]) as pool:
-            all_hits = list(pool.map(run_query, queries))
+            results = list(pool.map(run_query, queries))
     else:
-        all_hits = [run_query(q) for q in queries]
+        results = [run_query(q) for q in queries]
 
-    rankings = {query.id: hits for query, hits in zip(queries, all_hits)}
+    rankings = {query.id: hits for query, (hits, _) in zip(queries, results)}
     run_text = evaluation.write_trec_run(rankings, tag=config["tag"])
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(run_text)
-    if dump:
-        dump.finalize()
+    if args.dump_prompts:
+        expansion.write_prompt_dump(args.dump_prompts, [g for _, gens in results for g in gens])
 
     input_paths = [args.queries, args.index]
     inputs = {"queries_sha256": _file_digest(args.queries), "index_sha256": _file_digest(args.index)}
     backend_identity = {"kind": None, "model": config["model"]}
-    if client is not None:
+    if args.method in ("keqe", "csqe"):
         backend_identity["kind"] = config["backend"]
         if config["backend"] == "mock":
             inputs["fixtures_sha256"] = _file_digest(config["mock_fixtures"])

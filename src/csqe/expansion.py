@@ -12,17 +12,18 @@ One pipeline serves both expansion styles:
 ``csqe_pipeline`` with ``n_csqe=0`` is KEQE: no first pass and no
 extraction prompt. The composed query repeats the original query once per
 expansion so the original terms keep their weight under bag-of-words BM25
-scoring.
+scoring. The pipeline writes nothing: it returns its hits together with the
+prompts it sent and the raw responses, and ``write_prompt_dump`` turns the
+generations of a whole run into the ``--dump-prompts`` audit files.
 """
 
 import json
 import logging
 import math
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .corpus import Query, truncate_whitespace_tokens
 from .index import InvertedIndex, ScoredHit
@@ -269,55 +270,34 @@ class PipelineConfig:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
 
 
-class PromptDump:
-    """Writes every constructed prompt and raw response under a directory.
+def write_prompt_dump(root, generations) -> None:
+    """Write every prompt and raw response of a run into the directory ``root``.
 
-    One instance may be shared by threads. Files are named after the query
-    id with every character outside ``[\\w.-]`` replaced by ``_``; an id that
-    needed a replacement also gets ``~`` and 12 hex digits of its sha256, so
-    ids that sanitize alike (``q 1`` and ``q_1``) keep their own files.
-    ``prompts.json`` lists the records sorted by query id, then kind (csqe
-    before keqe), so it does not depend on the order queries ran in.
+    ``generations`` are ``csqe_pipeline``'s ``(query id, kind, prompt,
+    responses)`` tuples. Files are named after the query id with every
+    character outside ``[\\w.-]`` replaced by ``_``; an id that needed a
+    replacement also gets ``~`` and 12 hex digits of its sha256, so ids that
+    sanitize alike (``q 1`` and ``q_1``) keep their own files.
+    ``prompts.json`` lists one record per generation sorted by query id, then
+    kind (csqe before keqe), so it does not depend on the order queries ran in.
     """
-
-    def __init__(self, root):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._records = []
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _file_stem(query_id: str) -> str:
+    root = Path(root)
+    records = []
+    for query_id, kind, prompt, responses in sorted(generations, key=lambda g: g[:2]):
         safe = re.sub(r"[^\w.-]", "_", query_id)
         if safe != query_id:
             safe += "~" + prompt_hash(query_id)[:12]
-        return safe
-
-    def record(self, query_id: str, kind: str, prompt: str, responses: Sequence[str]) -> None:
-        safe = self._file_stem(query_id)
         prompt_file = f"{safe}.{kind}.prompt.txt"
-        (self.root / prompt_file).write_text(prompt, encoding="utf-8")
+        (root / prompt_file).write_text(prompt, encoding="utf-8")
         response_files = []
         for i, response in enumerate(responses):
             name = f"{safe}.{kind}.{i}.response.txt"
-            (self.root / name).write_text(response, encoding="utf-8")
+            (root / name).write_text(response, encoding="utf-8")
             response_files.append(name)
-        with self._lock:
-            self._records.append(
-                {
-                    "query_id": query_id,
-                    "kind": kind,
-                    "prompt_file": prompt_file,
-                    "prompt_sha256": prompt_hash(prompt),
-                    "response_files": response_files,
-                }
-            )
-
-    def finalize(self) -> None:
-        with self._lock:
-            records = sorted(self._records, key=lambda r: (r["query_id"], r["kind"]))
-        payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
-        (self.root / "prompts.json").write_text(payload, encoding="utf-8")
+        records.append({"query_id": query_id, "kind": kind, "prompt_file": prompt_file,
+                        "prompt_sha256": prompt_hash(prompt), "response_files": response_files})
+    payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    (root / "prompts.json").write_text(payload, encoding="utf-8")
 
 
 def csqe_pipeline(
@@ -326,8 +306,7 @@ def csqe_pipeline(
     llm: LlmClient,
     cfg: PipelineConfig,
     top_k: int = 1000,
-    dump: Optional[PromptDump] = None,
-) -> list[ScoredHit]:
+) -> tuple[list[ScoredHit], list[tuple[str, str, str, list[str]]]]:
     """Expand with extraction sentences plus KEQE passages, then retrieve.
 
     With ``cfg.n_csqe == 0`` this is KEQE: the first pass and the extraction
@@ -336,9 +315,12 @@ def csqe_pipeline(
     both go to the LLM in one call. When the first pass is empty the
     corpus-originated step is skipped; with no expansions at all the
     retrieval degrades to plain BM25.
+
+    Returns the hits and the query's generations: one ``(query id, kind,
+    prompt, responses)`` tuple per prompt sent, ``csqe`` before ``keqe``.
     """
     first_pass: list[ScoredHit] = []
-    generations = []  # (kind, prompt, n)
+    requests = []  # (kind, prompt, n)
     if cfg.n_csqe > 0:
         first_pass = index.search(query.text, cfg.k_feedback)
         if first_pass:
@@ -348,21 +330,21 @@ def csqe_pipeline(
                 )
                 for hit in first_pass
             ]
-            generations.append(("csqe", build_csqe_prompt(query.text, docs), cfg.n_csqe))
+            requests.append(("csqe", build_csqe_prompt(query.text, docs), cfg.n_csqe))
         else:
             log.warning("query %s: empty first pass, skipping corpus-originated expansion",
                         query.id)
     if cfg.n_keqe > 0:
-        generations.append(("keqe", build_keqe_prompt(query.text), cfg.n_keqe))
-    samples = llm.sample_many([(prompt, n) for _, prompt, n in generations],
+        requests.append(("keqe", build_keqe_prompt(query.text), cfg.n_keqe))
+    samples = llm.sample_many([(prompt, n) for _, prompt, n in requests],
                               temperature=cfg.temperature)
 
+    generations = [(query.id, kind, prompt, texts)
+                   for (kind, prompt, _), texts in zip(requests, samples)]
     sentences: list[str] = []
     seen: set[str] = set()
     passages: list[str] = []
-    for (kind, prompt, _), texts in zip(generations, samples):
-        if dump:
-            dump.record(query.id, kind, prompt, texts)
+    for _, kind, _, texts in generations:
         if kind == "keqe":
             passages = [t for t in texts if t.strip()]
         else:
@@ -371,4 +353,5 @@ def csqe_pipeline(
                     if sentence not in seen:
                         seen.add(sentence)
                         sentences.append(sentence)
-    return index.search(compose_expanded_query(query.text, sentences + passages), top_k)
+    hits = index.search(compose_expanded_query(query.text, sentences + passages), top_k)
+    return hits, generations

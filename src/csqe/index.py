@@ -151,7 +151,7 @@ class InvertedIndex:
         self.k1 = k1
         self.b = b
         self.doc_count = len(doc_ids)
-        self.avg_doc_len = avg = sum(doc_lens) / self.doc_count if self.doc_count else 0.0
+        avg = sum(doc_lens) / self.doc_count if self.doc_count else 0.0
         self._slots = {term: slot for slot, term in enumerate(terms)}
         self._ordinal_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
         # k1 times the length norm of each document; avg is 0 only when every length is
@@ -177,9 +177,6 @@ class InvertedIndex:
     def df(self, term: str) -> int:
         slot = self._slots.get(term)
         return 0 if slot is None else self.offsets[slot + 1] - self.offsets[slot]
-
-    def idf(self, term: str) -> float:
-        return self._idf(self.df(term))
 
     def _idf(self, df: int) -> float:
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))

@@ -15,10 +15,11 @@ outcome in job order: its texts, or the exception its fetch raised.
 * ``RemoteBackend`` posts a chat-completion request
   ``{model, messages:[{role:"user",content:prompt}], temperature, n}`` to an
   http(s) endpoint with ``urllib.request``, one connection per request, and
-  reads ``choices[i].message.content`` in order. Its ``fetch_many`` keeps
-  every job's request in flight at once, one thread per extra job, so a
-  call waits about one round-trip however many jobs it has; no connection
-  is shared between threads.
+  reads ``choices[i].message.content`` in order: null is an empty sample, and
+  content that is neither a string nor null makes the reply malformed. Its
+  ``fetch_many`` keeps every job's request in flight at once, one thread per
+  extra job, so a call waits about one round-trip however many jobs it has;
+  no connection is shared between threads.
 * ``MockBackend`` serves completions from a fixture table keyed by
   ``"<sha256(prompt)>:<ordinal>"`` and errors on unknown keys, which makes
   whole pipeline runs deterministic and offline. It never waits, so its
@@ -252,7 +253,9 @@ class RemoteBackend:
     def _parse_choices(raw: bytes, n: int) -> list[str]:
         try:
             choices = json.loads(raw)["choices"]
-            texts = [choice["message"]["content"] or "" for choice in choices]
+            texts = [choice["message"]["content"] for choice in choices]
+            if not all(text is None or isinstance(text, str) for text in texts):
+                raise TypeError("a message content is neither a string nor null")
         except (ValueError, KeyError, TypeError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
         if len(texts) < n:
@@ -260,7 +263,7 @@ class RemoteBackend:
         if len(texts) > n:
             log.warning("backend returned %d choices, expected %d; keeping the first %d",
                         len(texts), n, n)
-        return texts[:n]
+        return [text or "" for text in texts[:n]]  # null content is an empty sample
 
 
 _ENTRY_NAME = re.compile(r"[0-9a-f]{64}")  # a request fingerprint

@@ -81,12 +81,22 @@ def test_zero_sample_count_is_usage_error(toy_index, tmp_path, capsys, method, f
 
 
 def test_fixture_miss_is_backend_error(toy_index, tmp_path, capsys):
-    fixtures = tmp_path / "empty.json"
-    fixtures.write_text("{}", encoding="utf-8")
-    rc = main(_run_args("csqe", toy_index, tmp_path / "r.txt",
-                        "--backend", "mock", "--mock-fixtures", str(fixtures)))
-    assert rc == 3
-    assert "backend error" in capsys.readouterr().err
+    fixtures, output, dump_dir = tmp_path / "partial.json", tmp_path / "r.txt", tmp_path / "dump"
+    # the last query misses its first KEQE sample: the four queries before it succeed
+    toy = json.loads((TOY_DIR / "fixtures.json").read_text(encoding="utf-8"))
+    last = (TOY_DIR / "queries.tsv").read_text(encoding="utf-8").splitlines()[-1]
+    del toy[fixture_key(build_keqe_prompt(last.split("\t", 1)[1]), 0)]
+    fixtures.write_text(json.dumps(toy), encoding="utf-8")
+    for extra in ([], ["--dump-prompts", str(dump_dir)]):
+        rc = main(_run_args("csqe", toy_index, output, *extra,
+                            "--backend", "mock", "--mock-fixtures", str(fixtures)))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "backend error" in err
+        assert "Traceback" not in err
+        assert not output.exists()
+    # the dump directory is made before the first query and filled only after the last one
+    assert list(dump_dir.iterdir()) == []
 
 
 def test_run_refuses_an_endpoint_that_is_not_http_before_any_query_runs(toy_index, tmp_path,
@@ -292,6 +302,10 @@ _TOY_RUN_SHA256 = {
     "keqe": "9da058bb9bc5b6679fca8ec07933ca8d3717ef89685929ef022cae7b5deeffb6",
     "csqe": "5557df65814329def2ef60deaa9cf4069d8ec23ce7406c9137a4fc295961415e",
 }
+
+
+# sha256 of the sorted (file name, bytes) pairs of the csqe toy run's --dump-prompts directory
+_TOY_DUMP_SHA256 = "ce1e11eda2fe592e535b3a9596fa189ad5af46c3e229b6ddff62a6f11dceca27"
 
 
 # sha256 of `csqe eval --json` (default metrics) on the toy run of each method
@@ -615,6 +629,8 @@ def test_dump_prompts_identical_for_serial_and_parallel_runs(toy_index, tmp_path
     assert dumps["1"] == dumps["4"]
     # prompts.json, then per query: 2 prompts and 2 + 2 responses
     assert len(dumps["1"]) == 1 + 5 * 6
+    digest = hashlib.sha256(repr(sorted(dumps["1"].items())).encode("utf-8")).hexdigest()
+    assert digest == _TOY_DUMP_SHA256
 
 
 def test_run_with_cache_then_cache_subcommands(toy_index, tmp_path, capsys):

@@ -15,7 +15,6 @@ from csqe.expansion import (
     EXAMPLE_DOCS,
     EXAMPLE_QUERY,
     PipelineConfig,
-    PromptDump,
     build_csqe_prompt,
     build_keqe_prompt,
     compose_expanded_query,
@@ -23,6 +22,7 @@ from csqe.expansion import (
     format_extraction_response,
     parse_csqe_response,
     verify_extraction,
+    write_prompt_dump,
 )
 from csqe.index import InvertedIndex, build_index
 from csqe.llm import GenerationCache, LlmClient, MockBackend, RemoteBackend, fixture_key
@@ -349,7 +349,7 @@ def test_keqe_pipeline_equals_manual_composition(pipeline_index, monkeypatch):
         return search(self, text, k)
 
     monkeypatch.setattr(InvertedIndex, "search", spy)
-    hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    hits, _ = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     composed = compose_expanded_query(query.text, passages)
     assert searched == [composed]  # n_csqe=0 runs no first pass
     manual = pipeline_index.search(composed, 10)
@@ -361,7 +361,7 @@ def test_keqe_pipeline_empty_completions_fall_back_to_bm25(pipeline_index):
     prompt = build_keqe_prompt(query.text)
     fixtures = {fixture_key(prompt, i): "" for i in range(5)}
     cfg = PipelineConfig(n_keqe=5, n_csqe=0)
-    hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    hits, _ = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     assert hits == pipeline_index.search(query.text, 10)
 
 
@@ -371,7 +371,7 @@ def test_keqe_pipeline_passage_matching_relevant_doc_ranks_it_first(pipeline_ind
     relevant_text = pipeline_index.doc_texts[pipeline_index.ordinal("rel")]
     fixtures = {fixture_key(prompt, 0): relevant_text}
     cfg = PipelineConfig(n_keqe=1, n_csqe=0)
-    hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    hits, _ = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     assert hits[0].doc_id == "rel"
 
 
@@ -402,7 +402,7 @@ def test_csqe_pipeline_composition_and_determinism(pipeline_index):
         responses=[response, response],  # identical samples pool to one sentence
         keqe_passages=["huddle keeps penguin heat", "penguin blubber holds heat"],
     )
-    hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    hits, _ = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     manual = pipeline_index.search(
         compose_expanded_query(
             query.text,
@@ -411,7 +411,7 @@ def test_csqe_pipeline_composition_and_determinism(pipeline_index):
         10,
     )
     assert hits == manual
-    again = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    again, _ = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     assert hits == again
 
 
@@ -423,9 +423,9 @@ def test_csqe_pipeline_headerless_responses_reduce_to_keqe(pipeline_index):
         responses=["No relevant documents found.", "Nothing matches."],
         keqe_passages=["penguin heat passage one", "penguin heat passage two"],
     )
-    csqe_hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    csqe_hits, _ = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     keqe_cfg = PipelineConfig(n_keqe=2, n_csqe=0, k_feedback=5)
-    keqe_hits = csqe_pipeline(query, pipeline_index, _client(fixtures), keqe_cfg, top_k=10)
+    keqe_hits, _ = csqe_pipeline(query, pipeline_index, _client(fixtures), keqe_cfg, top_k=10)
     assert csqe_hits == keqe_hits
 
 
@@ -438,7 +438,7 @@ def test_csqe_pipeline_improves_relevant_rank(pipeline_index):
     sentence = "penguin huddle conserve heat antarctic winter blubber feather"
     response = format_extraction_response(query.text, [(rel_pos, [sentence])])
     fixtures, _ = _csqe_fixtures(pipeline_index, query, cfg, [response], [])
-    hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    hits, _ = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     expanded = [h.doc_id for h in hits]
     assert expanded.index("rel") <= plain.index("rel")
 
@@ -452,7 +452,7 @@ def test_csqe_pipeline_empty_first_pass_uses_keqe_only(pipeline_index):
         fixture_key(keqe_prompt, 1): "antarctic blubber",
     }
     cfg = PipelineConfig(n_keqe=2, n_csqe=2, k_feedback=5)
-    hits = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    hits, _ = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     manual = pipeline_index.search(
         compose_expanded_query(query.text, ["penguin huddle heat", "antarctic blubber"]),
         10,
@@ -479,23 +479,19 @@ def test_prompt_dump_records_files(tmp_path, pipeline_index):
     prompt = build_keqe_prompt(query.text)
     fixtures = {fixture_key(prompt, 0): "a passage"}
     cfg = PipelineConfig(n_keqe=1, n_csqe=0)
-    dump = PromptDump(tmp_path / "dump")
-    csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=5, dump=dump)
-    dump.finalize()
-    root = tmp_path / "dump"
-    [record] = json.loads((root / "prompts.json").read_text(encoding="utf-8"))
+    _, generations = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=5)
+    assert generations == [("q one", "keqe", prompt, ["a passage"])]
+    write_prompt_dump(tmp_path, generations)
+    [record] = json.loads((tmp_path / "prompts.json").read_text(encoding="utf-8"))
     assert record["prompt_file"].startswith("q_one~")
-    assert (root / record["prompt_file"]).read_text(encoding="utf-8") == prompt
-    assert [(root / name).read_text(encoding="utf-8") for name in record["response_files"]] == [
-        "a passage"
-    ]
+    assert (tmp_path / record["prompt_file"]).read_text(encoding="utf-8") == prompt
+    responses = [(tmp_path / f).read_text(encoding="utf-8") for f in record["response_files"]]
+    assert responses == ["a passage"]
 
 
 def test_prompt_dump_ids_that_sanitize_alike_keep_their_own_files(tmp_path):
-    dump = PromptDump(tmp_path)
-    dump.record("q 1", "keqe", "prompt of q 1", ["answer of q 1"])
-    dump.record("q_1", "keqe", "prompt of q_1", ["answer of q_1"])
-    dump.finalize()
+    write_prompt_dump(tmp_path, [("q 1", "keqe", "prompt of q 1", ["answer of q 1"]),
+                                 ("q_1", "keqe", "prompt of q_1", ["answer of q_1"])])
     records = json.loads((tmp_path / "prompts.json").read_text(encoding="utf-8"))
     assert [r["query_id"] for r in records] == ["q 1", "q_1"]
     assert records[1]["prompt_file"] == "q_1.keqe.prompt.txt"  # safe ids keep their name
@@ -509,12 +505,11 @@ def test_prompt_dump_ids_that_sanitize_alike_keep_their_own_files(tmp_path):
 def test_prompt_dump_order_does_not_depend_on_call_order(tmp_path):
     payloads = []
     for order in (["t2", "t1"], ["t1", "t2"]):
-        dump = PromptDump(tmp_path / "".join(order))
-        for qid in order:
-            dump.record(qid, "keqe", f"keqe {qid}", [])
-            dump.record(qid, "csqe", f"csqe {qid}", [])
-        dump.finalize()
-        payloads.append((dump.root / "prompts.json").read_bytes())
+        root = tmp_path / "".join(order)
+        root.mkdir()
+        write_prompt_dump(root, [generation for qid in order for generation in (
+            (qid, "keqe", f"keqe {qid}", []), (qid, "csqe", f"csqe {qid}", []))])
+        payloads.append((root / "prompts.json").read_bytes())
     assert payloads[0] == payloads[1]
     records = json.loads(payloads[0])
     assert [(r["query_id"], r["kind"]) for r in records] == [
@@ -568,8 +563,8 @@ def test_csqe_pipeline_keeps_extraction_and_keqe_in_flight_together(pipeline_ind
     query, cfg, fixtures = _overlap_case(pipeline_index)
     threads_before = set(threading.enumerate())
     backend = _OverlapRemote(fixtures)
-    hits = csqe_pipeline(query, pipeline_index, LlmClient(backend), cfg, top_k=10)
-    assert hits == csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    overlapped = csqe_pipeline(query, pipeline_index, LlmClient(backend), cfg, top_k=10)
+    assert overlapped == csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     assert len(backend.finished) == 2
     assert set(threading.enumerate()) == threads_before
 
@@ -611,9 +606,11 @@ def test_csqe_pipeline_sends_both_requests_in_one_call_and_warm_cache_sends_none
 
 def test_csqe_pipeline_dump_records_csqe_before_keqe(pipeline_index, tmp_path):
     query, cfg, fixtures = _overlap_case(pipeline_index)
-    dump = PromptDump(tmp_path / "dump")
-    csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10, dump=dump)
-    dump.finalize()
-    records = json.loads((dump.root / "prompts.json").read_text(encoding="utf-8"))
+    _, generations = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
+    assert [(qid, kind, len(texts)) for qid, kind, _, texts in generations] == [
+        ("q1", "csqe", 2), ("q1", "keqe", 2)
+    ]
+    write_prompt_dump(tmp_path, generations)
+    records = json.loads((tmp_path / "prompts.json").read_text(encoding="utf-8"))
     assert [r["kind"] for r in records] == ["csqe", "keqe"]
     assert [len(r["response_files"]) for r in records] == [2, 2]

@@ -36,7 +36,7 @@ def test_build_index_statistics():
     # token streams: [d e], [e e], [f]
     index = build_index([Document("a", "d e"), Document("b", "e e"), Document("c", "f")])
     assert index.doc_count == 3
-    assert index.avg_doc_len == pytest.approx(5 / 3)
+    assert sum(index.doc_lens) / index.doc_count == pytest.approx(5 / 3)  # avgdl
     assert index.df("e") == 2
     assert index.df("d") == 1
     assert index.df("zzz") == 0
@@ -101,7 +101,8 @@ def test_term_score_monotone_in_tf_and_bounded():
     by_doc = _scores_by_doc(index, "k4")
     scores = [by_doc[f"d{i}"] for i in range(8)]
     assert all(a < b for a, b in zip(scores, scores[1:]))
-    bound = index.idf("k4") * (index.k1 + 1.0)
+    df = index.df("k4")
+    bound = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5)) * (index.k1 + 1.0)
     assert all(s < bound for s in scores)
 
 

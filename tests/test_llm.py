@@ -229,11 +229,14 @@ def test_remote_retry_waits_for_retry_after(stub_server, monkeypatch, status, re
 
 def test_remote_truncated_json_is_malformed_without_retry(stub_server):
     endpoint, handler = stub_server
-    handler.script = [(200, json.dumps(_choices("cut short")).encode("utf-8")[:-5])]
     backend = RemoteBackend(endpoint, api_key="k", backoff=0.0, max_retries=3)
-    with pytest.raises(BackendError, match="malformed backend response"):
-        backend.fetch("p", 1.0, [0])
-    assert len(handler.seen) == 1
+    truncated = json.dumps(_choices("cut short")).encode("utf-8")[:-5]
+    # content that is neither a string nor null is as malformed as JSON cut short
+    for sent, payload in enumerate((truncated, _choices(5), _choices(["a"]), _choices({})), 1):
+        handler.script = [(200, payload)]
+        with pytest.raises(BackendError, match="malformed backend response"):
+            backend.fetch("p", 1.0, [0])
+        assert len(handler.seen) == sent
 
 
 def test_remote_reply_slower_than_timeout_is_retried_then_raised(stub_server):
