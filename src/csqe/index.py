@@ -10,9 +10,13 @@ sorted terms laid end to end in two ``array``s, ``gaps`` and ``tfs``, with
 term ``i``'s list at ``offsets[i]:offsets[i + 1]``. ``gaps`` holds each list's
 document ordinals, ascending, gap-coded as in the file (the first entry is the
 ordinal itself, each later one the distance to the one before), and a loaded
-index keeps both arrays at the width the file stored. A search decodes a
-term's ordinals on the term's first use and keeps them for later searches, so
-a query decodes only the lists it reads.
+index keeps both arrays at the width the file stored. On a term's first use a
+search decodes its ordinals and computes each posting's impact, the part of
+its BM25 term score that no query changes,
+``c = tf * (k1 + 1) / (tf + k1 * (1 - b + b * len / avglen))``, and keeps the
+pair for later searches: a query decodes only the lists it reads, and a term
+of weight ``w`` adds ``w * idf * c`` to each of its documents, one multiply
+per posting. The pair costs 12 bytes per decoded posting.
 
 On-disk layout (format version 4): the 8-byte magic ``CSQEIDX1``, the
 version as a little-endian u32, a header ``<dd3QI4Q4B`` (k1, b, the byte size
@@ -142,8 +146,9 @@ class InvertedIndex:
         self.offsets = offsets
         self.gaps = gaps
         self.tfs = tfs
-        # each slot's decoded ordinals, filled on the term's first use by _rank
-        self._ordinals: list[array | None] = [None] * len(terms)
+        # each slot's (ordinals, impacts) pair, filled on the term's first use by _rank; the
+        # impacts are 8 bytes per decoded posting on top of the ordinals' 4
+        self._postings: list[tuple[array, array] | None] = [None] * len(terms)
         self.doc_ids = doc_ids
         self.doc_lens = doc_lens
         self._texts = doc_texts
@@ -190,7 +195,7 @@ class InvertedIndex:
         scores: dict[int, float] = {}
         get = scores.get
         knorm = self._knorm
-        decoded = self._ordinals
+        decoded = self._postings
         k1p1 = self.k1 + 1.0
         for term, weight in term_weights.items():
             if weight == 0.0:
@@ -199,14 +204,19 @@ class InvertedIndex:
             if slot is None:
                 continue
             start, end = self.offsets[slot], self.offsets[slot + 1]
-            ordinals = decoded[slot]
-            if ordinals is None:
-                # threads racing on a term's first use each decode an equal array, and a
-                # list item store is atomic, so every reader sees a whole list: no lock
-                ordinals = decoded[slot] = array(_U32, accumulate(self.gaps[start:end]))
+            postings = decoded[slot]
+            if postings is None:
+                # threads racing on a term's first use each build an equal pair, and a
+                # list item store is atomic, so every reader sees a whole pair: no lock
+                ordinals = array(_U32, accumulate(self.gaps[start:end]))
+                impacts = array("d", [tf * k1p1 / (tf + knorm[o])
+                                      for o, tf in zip(ordinals, self.tfs[start:end])])
+                postings = decoded[slot] = ordinals, impacts
+            ordinals, impacts = postings
+            # weight * idf * c is the term's weighted BM25 score in document o
             wi = weight * self._idf(end - start)
-            for o, tf in zip(ordinals, self.tfs[start:end]):
-                scores[o] = get(o, 0.0) + wi * tf * k1p1 / (tf + knorm[o])
+            for o, c in zip(ordinals, impacts):
+                scores[o] = get(o, 0.0) + wi * c
         # doc-id order first, then a stable sort by score: ties stay in doc-id order
         ranked = sorted(scores, key=self._id_rank.__getitem__)
         ranked.sort(key=scores.__getitem__, reverse=True)

@@ -17,7 +17,10 @@ def bm25_scores(doc_token_lists, query_tokens, k1=0.9, b=0.4):
     """Brute-force BM25: score every document against the bag of query tokens.
 
     Duplicate query tokens act as integer weights: each distinct term adds
-    count times its contribution, once.
+    count times its contribution, once. The product is grouped as
+    ``(count * idf) * (tf saturation)``, the query part times the part no
+    query changes, so scores match a kernel that caches the second factor
+    per posting to the last bit, and near-ties within an ulp order alike.
     """
     n_docs = len(doc_token_lists)
     total_len = sum(len(d) for d in doc_token_lists)
@@ -36,7 +39,7 @@ def bm25_scores(doc_token_lists, query_tokens, k1=0.9, b=0.4):
                 continue
             idf = math.log(1.0 + (n_docs - df[term] + 0.5) / (df[term] + 0.5))
             norm = 1.0 - b + b * len(tokens) / avgdl
-            score += count * idf * freq * (k1 + 1.0) / (freq + k1 * norm)
+            score += count * idf * (freq * (k1 + 1.0) / (freq + k1 * norm))
         scores.append(score)
     return scores
 
@@ -59,7 +62,7 @@ def bm25_weighted_scores(doc_token_lists, weights, k1=0.9, b=0.4):
                 continue
             idf = math.log(1.0 + (n_docs - df[term] + 0.5) / (df[term] + 0.5))
             norm = 1.0 - b + b * len(tokens) / avgdl
-            score += weight * idf * freq * (k1 + 1.0) / (freq + k1 * norm)
+            score += weight * idf * (freq * (k1 + 1.0) / (freq + k1 * norm))
         scores.append(score)
     return scores
 

@@ -4,6 +4,7 @@ import os
 import random
 import struct
 import sys
+import tempfile
 import threading
 import time
 import zlib
@@ -198,15 +199,20 @@ def test_weighted_query_validation():
         max_size=20,
     ),
     query=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=8),
+    weights=st.dictionaries(st.sampled_from(TOKENS), st.floats(0.0, 10.0, allow_subnormal=False),
+                            min_size=1),
 )
-def test_search_matches_bruteforce_oracle(token_lists, query):
+def test_search_matches_bruteforce_oracle(token_lists, query, weights):
     docs = _docs_from_token_lists(token_lists)
+    ids = [d.id for d in docs]
     index = build_index(docs)
+    # hits unpack as (doc_id, score) and tuples compare their scores with ==, so the
+    # ranking and every score's bits must agree
     hits = index.search(" ".join(query), len(docs))
-    expected = ranking_from_scores([d.id for d in docs], bm25_scores(token_lists, query))
-    assert [h.doc_id for h in hits] == [d for d, _ in expected]
-    for hit, (_, score) in zip(hits, expected):
-        assert hit.score == pytest.approx(score, rel=1e-9)
+    assert hits == ranking_from_scores(ids, bm25_scores(token_lists, query))
+    if any(weights.values()):
+        hits = index.search_weighted(WeightedQuery(weights), len(docs))
+        assert hits == ranking_from_scores(ids, bm25_weighted_scores(token_lists, weights))
 
 
 @settings(max_examples=40, deadline=None)
@@ -599,43 +605,80 @@ def test_a_one_term_search_on_a_loaded_index_decodes_one_list(tmp_path, shark_in
     shark_index.save(str(path))
     index = InvertedIndex.load(str(path))
     assert index.terms == ["cold", "shark", "warm"]
-    assert index._ordinals == [None, None, None]
+    assert index._postings == [None, None, None]
     hits = index.search("shark", 10)
     assert hits == shark_index.search("shark", 10)
-    assert index._ordinals == [None, array("I", [0, 1]), None]
-    decoded = index._ordinals[1]
+    assert index._postings[0] is None and index._postings[2] is None
+    decoded = index._postings[1]
+    ordinals, impacts = decoded
+    assert ordinals == array("I", [0, 1])
+    assert [hit.score for hit in hits] == [index._idf(2) * c for c in impacts]
     assert index.search("shark", 10) == hits
-    assert index._ordinals[1] is decoded  # a later search reuses the decoded list
+    assert index._postings[1] is decoded  # a later search reuses the decoded pair
 
 
 def test_concurrent_first_uses_of_a_term_all_get_the_same_hits(tmp_path):
-    # a long list, so the first decodes overlap
-    docs = [Document(f"d{i:04d}", "shark " * (1 + i % 3) + "warm") for i in range(3000)]
+    # long lists, so the first decodes overlap
+    docs = [Document(f"d{i:04d}", "shark " * (1 + i % 3) + "warm " * (i % 4)) for i in range(3000)]
     built = build_index(docs)
     path = tmp_path / "long.bin"
     built.save(str(path))
-    index = InvertedIndex.load(str(path))
-    expected = built.search("shark", 50)
-    start = threading.Barrier(8)
-    seen = []
+    weighted = WeightedQuery({"shark": 0.7, "warm": 0.3})
+    for query in (lambda index: index.search("shark", 50),
+                  lambda index: index.search_weighted(weighted, 50)):
+        index = InvertedIndex.load(str(path))
+        expected = query(built)
+        start = threading.Barrier(8)
+        seen = []
 
-    def search():
-        start.wait(timeout=10)
-        seen.append(index.search("shark", 50))
+        def search():
+            start.wait(timeout=10)
+            seen.append(query(index))
 
-    threads = [threading.Thread(target=search) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(seen) == 8 and all(hits == expected for hits in seen)
-    assert index.search("shark", 50) == expected
+        threads = [threading.Thread(target=search) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and all(hits == expected for hits in seen)
+        assert query(index) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    token_lists=st.lists(
+        st.lists(st.sampled_from(TOKENS), min_size=0, max_size=10),
+        min_size=1,
+        max_size=15,
+    ),
+    query=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6),
+    earlier=st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4), max_size=4),
+    weights=st.dictionaries(st.sampled_from(TOKENS), st.floats(0.01, 10.0), min_size=1),
+)
+def test_decoded_postings_left_by_earlier_queries_never_change_a_result(
+        token_lists, query, earlier, weights):
+    docs = _docs_from_token_lists(token_lists)
+    built = build_index(docs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.bin")
+        built.save(path)
+        fresh, used = InvertedIndex.load(path), InvertedIndex.load(path)
+    for tokens in earlier:  # fills other slots, and maybe the query's own
+        used.search(" ".join(tokens), 3)
+    searches = [lambda index: index.search(" ".join(query), len(docs)),
+                lambda index: index.search_weighted(WeightedQuery(weights), len(docs))]
+    for search in searches:
+        expected = search(built)
+        # tuples compare their float scores with ==, so the score bits must agree
+        assert search(fresh) == expected
+        assert search(used) == expected
+        assert search(fresh) == expected  # now from the pairs the first search left
 
 
 def test_a_texts_stream_that_passes_its_crc32_but_is_not_json_fails_only_its_readers(
