@@ -10,7 +10,12 @@ Each parser takes a file opened ``"rb"``, decodes it as UTF-8 and splits it
 into lines on "\\n" only.
 
 Tokenization is lowercase, split on runs of non-alphanumeric characters,
-stopword removal (bundled English list), then Porter stemming.
+stopword removal (bundled English list), then Porter stemming. A character
+is alphanumeric when ``str.isalnum()`` says so, which on every code point is
+the regex class ``[^\\W_]``. Lowercased ASCII text is split by one
+``str.translate`` pass that turns every other character into a space, then
+``str.split()``; that gives the same tokens as the regex, which splits any
+other text.
 """
 
 import json
@@ -23,6 +28,9 @@ from .errors import DataFormatError
 from .stemmer import stem
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# All 128 ASCII codes, so translate never misses a key: alphanumerics map to
+# themselves and every other code to a space
+_ASCII_SEPARATORS = {c: c if chr(c).isalnum() else ord(" ") for c in range(128)}
 
 
 @dataclass(frozen=True)
@@ -50,11 +58,18 @@ STOPWORDS = _load_stopwords()
 def tokenize(text: str) -> list[str]:
     """Normalize raw text into index terms.
 
-    Lowercases, splits on any maximal run of non-alphanumeric characters,
-    drops stopwords, and Porter-stems each surviving token. Empty input
-    yields an empty list.
+    Lowercases, splits on any maximal run of non-alphanumeric characters
+    (``str.isalnum()``, the regex ``[^\\W_]``), drops stopwords, and
+    Porter-stems each surviving token. Empty input yields an empty list.
+    ASCII text is split by the translate pass, into the tokens the regex
+    would give.
     """
-    return [stem(tok) for tok in _TOKEN_RE.findall(text.lower()) if tok not in STOPWORDS]
+    text = text.lower()
+    if text.isascii():
+        words = text.translate(_ASCII_SEPARATORS).split()
+    else:
+        words = _TOKEN_RE.findall(text)
+    return [stem(tok) for tok in words if tok not in STOPWORDS]
 
 
 def truncate_whitespace_tokens(text: str, max_tokens: int) -> str:

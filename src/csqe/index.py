@@ -3,7 +3,15 @@
 Scoring uses idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)) and the usual
 tf saturation with length normalization; defaults k1=0.9, b=0.4. Result
 lists are ordered by score descending with ties broken by external doc id
-ascending, so rankings do not depend on corpus input order.
+ascending, so rankings do not depend on corpus input order. That holds for
+equal float scores. A document's score sums its terms' contributions in
+query term order, so two documents whose scores are equal in exact
+arithmetic can still differ in the last bit when their equal contributions
+are summed in a different order, and are then ordered by that rounding. The
+benchmark's ``csqe-stub`` workload, seed 1719, q0009 has such a pair:
+d000315 and d000155, with tfs (1, 1, 3) and (3, 1, 1) on three query terms,
+print the same score and are ranked by how ``(x1 + y) + x3`` and ``(x3 + y)
++ x1`` round.
 
 In memory the postings are compressed sparse rows: the posting lists of the
 sorted terms laid end to end in two ``array``s, ``gaps`` and ``tfs``, with

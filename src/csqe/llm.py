@@ -138,8 +138,11 @@ class RemoteBackend:
     """Chat-completion HTTP backend with retry/backoff.
 
     ``endpoint`` must be an http or https URL with a host, and any port it
-    names must be a number in 0-65535. A retry waits ``backoff *
-    2**(attempt-1)`` seconds, or longer when a 429 or 503 reply carries
+    names must be a number in 0-65535. Retry ``attempt`` waits between half
+    and all of ``backoff * 2**(attempt-1)`` seconds, at a fraction taken from
+    the sha256 of the request body and the attempt number: requests that
+    fail together retry at different instants, and a repeated request waits
+    the same times. It waits longer when a 429 or 503 reply carries
     ``Retry-After`` in integer seconds (capped at ``timeout``).
     """
 
@@ -204,6 +207,12 @@ class RemoteBackend:
             return 0.0  # absent, or the HTTP-date form, which is not honoured
         return min(float(value), self.timeout)
 
+    def _backoff(self, data: bytes, attempt: int) -> float:
+        """Seconds before retry ``attempt`` of the request ``data``, before ``Retry-After``."""
+        digest = hashlib.sha256(b"%d\n%b" % (attempt, data)).digest()
+        fraction = int.from_bytes(digest[:8], "big") / 2 ** 64  # in [0, 1]
+        return self.backoff * 2 ** (attempt - 1) * (1 + fraction) / 2
+
     def fetch(self, prompt: str, temperature: float, ordinals: Sequence[int]) -> list[str]:
         n = len(ordinals)
         body = {
@@ -223,7 +232,7 @@ class RemoteBackend:
         retry_after = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(max(self.backoff * 2 ** (attempt - 1), retry_after))
+                time.sleep(max(self._backoff(request.data, attempt), retry_after))
             retry_after = 0.0
             try:  # one connection per request: urllib closes it after each reply
                 try:

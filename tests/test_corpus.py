@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csqe.corpus import (
+    _ASCII_SEPARATORS,
     _TOKEN_RE,
     Document,
     STOPWORDS,
@@ -82,6 +83,29 @@ def test_tokenize_output_shape(text):
 
 def _tokenize_uncached(text):
     return [stem.__wrapped__(t) for t in _TOKEN_RE.findall(text.lower()) if t not in STOPWORDS]
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.text(st.characters(max_codepoint=127))))
+def test_tokenize_matches_the_regex_definition(text):
+    # the ASCII alphabet draws punctuation, digits, "_" and every whitespace character
+    assert tokenize(text) == _tokenize_uncached(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("\u212aelvin_7", ["kelvin", "7"]),  # Kelvin sign: lowercases to an ASCII "k"
+    ("\u0130stanbul_7", ["i", "stanbul", "7"]),  # lowercases to "i\u0307", a letter and a mark
+    ("\u212a_\u0130x", ["k", "i", "x"]),
+])
+def test_tokenize_where_lowercasing_changes_asciiness(text, expected):
+    assert tokenize(text) == _tokenize_uncached(text) == expected
+
+
+def test_ascii_separators_space_out_exactly_what_the_regex_rejects():
+    assert sorted(_ASCII_SEPARATORS) == list(range(128))
+    for code in range(128):
+        char = chr(code)
+        assert char.translate(_ASCII_SEPARATORS) == (char if _TOKEN_RE.fullmatch(char) else " ")
 
 
 _words_and_text = st.lists(

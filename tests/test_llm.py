@@ -209,12 +209,17 @@ def test_remote_exhausted_retries_raise(stub_server):
     assert excinfo.value.status == 503
 
 
+# The backoff of this test's request: 0.5 s scaled by the fraction its body and
+# attempt 1 hash to
+_FIRST_BACKOFF = 0.4525207750501195
+
+
 @pytest.mark.parametrize("status, retry_after, expected", [
     (429, "2", 2.0),  # longer than the backoff: honoured
     (503, "999", 5.0),  # capped at the timeout
-    (429, "0", 0.5),  # shorter than the backoff: the backoff wins
-    (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),  # date form: not honoured
-    (500, "2", 0.5),  # only 429 and 503 are read
+    (429, "0", _FIRST_BACKOFF),  # shorter than the backoff: the backoff wins
+    (503, "Wed, 21 Oct 2015 07:28:00 GMT", _FIRST_BACKOFF),  # date form: not honoured
+    (500, "2", _FIRST_BACKOFF),  # only 429 and 503 are read
 ])
 def test_remote_retry_waits_for_retry_after(stub_server, monkeypatch, status, retry_after,
                                             expected):
@@ -225,6 +230,28 @@ def test_remote_retry_waits_for_retry_after(stub_server, monkeypatch, status, re
     backend = RemoteBackend(endpoint, api_key="k", backoff=0.5, timeout=5.0)
     assert backend.fetch("p", 1.0, [0]) == ["ok"]
     assert sleeps == [expected]
+
+
+def test_remote_retries_of_different_requests_wait_different_repeatable_times(
+        stub_server, monkeypatch):
+    endpoint, handler = stub_server
+    handler.by_prompt = {"p": (503, {}), "q": (503, {})}
+    waits = {}  # thread -> the seconds it slept
+    monkeypatch.setattr(
+        time, "sleep", lambda s: waits.setdefault(threading.current_thread(), []).append(s))
+    backend = RemoteBackend(endpoint, api_key="k", backoff=0.5, max_retries=3)
+
+    def retry_waits(*prompts):
+        waits.clear()
+        outcomes = backend.fetch_many([(prompt, 1.0, [0]) for prompt in prompts])
+        assert all(isinstance(outcome, BackendError) for outcome in outcomes)
+        return sorted(waits.values())
+
+    together = retry_waits("p", "q")
+    assert [len(each) for each in together] == [3, 3] and together[0] != together[1]
+    for each in together:  # retry i + 1 waits within [base / 2, base], base = 0.5 * 2**i
+        assert all(0.25 * 2 ** i <= wait <= 0.5 * 2 ** i for i, wait in enumerate(each))
+    assert sorted(retry_waits("p") + retry_waits("q")) == together
 
 
 def test_remote_truncated_json_is_malformed_without_retry(stub_server):
