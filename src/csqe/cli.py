@@ -7,13 +7,16 @@ is flags > config file (--config, JSON) > defaults.
 """
 
 import argparse
+import errno
 import hashlib
 import json
 import logging
 import math
 import os
 import sys
+import uuid
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, suppress
 from datetime import datetime, timezone
 
 from . import evaluation, expansion, llm, prf
@@ -297,18 +300,32 @@ def cmd_run(args) -> int:
         log.info("query %s: %s", query.id, query.text)
         return run_one(query)
 
-    if config["jobs"] > 1:
-        with ThreadPoolExecutor(max_workers=config["jobs"]) as pool:
-            results = list(pool.map(run_query, queries))
-    else:
-        results = [run_query(q) for q in queries]
-
-    rankings = {query.id: hits for query, (hits, _) in zip(queries, results)}
-    run_text = evaluation.write_trec_run(rankings, tag=config["tag"])
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(run_text)
+    # The run file is written under a temporary name, one query at a time as its
+    # result arrives, and renamed after the last one: memory holds the rankings not
+    # yet written (one, for --jobs 1), an output that cannot be created fails before
+    # any backend call, and a failed run leaves an existing output untouched.
+    if os.path.isdir(args.output):  # os.replace would refuse it only after the last query
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+    generations = []
+    tmp = f"{args.output}.tmp.{uuid.uuid4().hex}"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh, ExitStack() as stack:
+            if config["jobs"] > 1:
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=config["jobs"]))
+                results = pool.map(run_query, queries)
+            else:
+                results = map(run_query, queries)
+            for query, (hits, gens) in zip(queries, results):
+                fh.write(evaluation.write_trec_run({query.id: hits}, tag=config["tag"]))
+                if args.dump_prompts:
+                    generations.extend(gens)
+        os.replace(tmp, args.output)
+    except BaseException:
+        with suppress(FileNotFoundError):  # open itself failed
+            os.unlink(tmp)
+        raise
     if args.dump_prompts:
-        expansion.write_prompt_dump(args.dump_prompts, [g for _, gens in results for g in gens])
+        expansion.write_prompt_dump(args.dump_prompts, generations)
 
     input_paths = [args.queries, args.index]
     inputs = {"queries_sha256": _file_digest(args.queries), "index_sha256": _file_digest(args.index)}

@@ -6,8 +6,9 @@ File formats:
              with one space)
     queries  TSV, ``qid<TAB>query text``; the qid has no whitespace
 
-Each parser takes a file opened ``"rb"``, decodes it as UTF-8 and splits it
-into lines on "\\n" only.
+Each parser takes a file opened ``"rb"`` and reads it in 64 KiB chunks,
+decoding each as UTF-8 and splitting it into lines on "\\n" only; memory
+holds one chunk and one line of the file, not the whole file.
 
 Tokenization is lowercase, split on runs of non-alphanumeric characters,
 stopword removal (bundled English list), then Porter stemming. A character
@@ -31,6 +32,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # All 128 ASCII codes, so translate never misses a key: alphanumerics map to
 # themselves and every other code to a space
 _ASCII_SEPARATORS = {c: c if chr(c).isalnum() else ord(" ") for c in range(128)}
+# Bytes per read of a corpus, queries, qrels or run file (see _iter_lines)
+_CHUNK_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,20 +98,48 @@ def is_single_field(text: str) -> bool:
 def _iter_lines(stream: BinaryIO, kind: str) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, text)`` pairs of a binary file; ``kind`` names it in errors.
 
-    The file is read and decoded once and split on ``"\\n"`` only, so
-    ``"\\r"``, form feeds, U+0085 and U+2028 stay inside their line. On bytes
-    that are not UTF-8 the lines before the bad one are yielded first, then
+    The pairs are those of ``enumerate(data.decode("utf-8").split("\\n"), 1)``
+    for the file's bytes ``data``: lines end at ``"\\n"`` only, so ``"\\r"``,
+    form feeds, U+0085 and U+2028 stay inside their line, and a file that ends
+    with ``"\\n"``, or is empty, ends with an empty line. The file is read in
+    ``_CHUNK_SIZE`` chunks. Each chunk is cut after its last ``b"\\n"`` and the
+    part before the cut decoded once; the rest is carried into the next
+    chunk. So memory holds one chunk and one line, not the file. On bytes that
+    are not UTF-8 the lines before the bad one are yielded first, then
     ``DataFormatError`` names the bad line.
     """
-    data = stream.read()
+    lineno = 0
+    pending: list[bytes] = []  # the unterminated line so far, one piece per read
+    while chunk := stream.read(_CHUNK_SIZE):
+        end = chunk.rfind(b"\n")
+        if end < 0:
+            pending.append(chunk)
+            continue
+        # decoded through a view, not a copy; a multi-byte sequence never spans b"\n"
+        head = memoryview(chunk)[:end]
+        if pending:
+            head = b"".join([*pending, head])
+        try:
+            lines = str(head, "utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            yield from _lines_before_bad_bytes(bytes(head), exc, kind, lineno)
+        yield from enumerate(lines, start=lineno + 1)
+        lineno += len(lines)
+        pending = [chunk[end + 1:]]
+    last = b"".join(pending)
     try:
-        text = data.decode("utf-8")
+        text = last.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # a multi-byte sequence never spans b"\n", so the lines before this one are valid
-        good = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8").split("\n")[:-1]
-        yield from enumerate(good, start=1)
-        raise DataFormatError(f"{kind} line {len(good) + 1}: not valid UTF-8") from exc
-    yield from enumerate(text.split("\n"), start=1)
+        yield from _lines_before_bad_bytes(last, exc, kind, lineno)
+    yield lineno + 1, text
+
+
+def _lines_before_bad_bytes(data: bytes, exc: UnicodeDecodeError, kind: str, lineno: int):
+    """Yield the lines of ``data`` (after line ``lineno``) before the one ``exc`` found not
+    UTF-8, then raise ``DataFormatError`` naming that line."""
+    good = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8").split("\n")[:-1]
+    yield from enumerate(good, start=lineno + 1)
+    raise DataFormatError(f"{kind} line {lineno + len(good) + 1}: not valid UTF-8") from exc
 
 
 def parse_jsonl_corpus(stream: BinaryIO) -> list[Document]:

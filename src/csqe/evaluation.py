@@ -98,8 +98,9 @@ def parse_trec_run(stream: BinaryIO) -> dict[str, list[tuple[str, float]]]:
         # float() made a new object, so getting any other one back means docid was there
         if docs.setdefault(docid, score) is not score:
             raise DataFormatError(f"run line {lineno}: duplicate doc '{docid}' for query '{qid}'")
-    return {qid: sorted(docs.items(), key=itemgetter(1), reverse=True)
-            for qid, docs in by_query.items()}
+    # each query's dict is dropped as its sorted list is built: the two are never both whole
+    return {qid: sorted(by_query.pop(qid).items(), key=itemgetter(1), reverse=True)
+            for qid in list(by_query)}
 
 
 # -- metrics ---------------------------------------------------------------

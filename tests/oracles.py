@@ -2,8 +2,8 @@
 
 Everything here recomputes results directly from the defining formulas on
 plain Python structures and shares no code with the package modules it
-checks, apart from the error type the run-file parser raises; that parser
-returns a plain dict.
+checks, apart from the error type the line reader and the run-file parser
+raise; that parser returns a plain dict.
 """
 
 import math
@@ -143,6 +143,26 @@ def recall_oracle(ranking, judged, k, rel_threshold=1):
     if not relevant:
         return None
     return sum(1 for d in relevant if d in ranking[:k]) / len(relevant)
+
+
+# -- line reader oracle ------------------------------------------------------
+
+
+def iter_lines_whole_file(stream: BinaryIO, kind: str) -> Iterator[tuple[int, str]]:
+    """The lines of a binary file as ``csqe.corpus._iter_lines`` must yield them.
+
+    Reads the whole file and yields ``enumerate(data.decode().split("\\n"), 1)``.
+    On bytes that are not UTF-8 it yields the lines before the bad line,
+    then raises ``DataFormatError`` naming the bad line.
+    """
+    data = stream.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = data.count(b"\n", 0, exc.start) + 1
+        yield from enumerate((raw.decode("utf-8") for raw in data.split(b"\n")[:bad - 1]), 1)
+        raise DataFormatError(f"{kind} line {bad}: not valid UTF-8") from exc
+    yield from enumerate(text.split("\n"), 1)
 
 
 # -- run-file parser oracle --------------------------------------------------

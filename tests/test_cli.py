@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from csqe.cli import _RUN_SETTINGS, main
 from csqe.errors import BackendError
 from csqe.expansion import build_keqe_prompt
-from csqe.llm import GenerationCache, RemoteBackend, fixture_key
+from csqe.llm import GenerationCache, MockBackend, RemoteBackend, fixture_key
 
 from conftest import REPO_ROOT, TOY_DIR
 
@@ -87,14 +88,19 @@ def test_fixture_miss_is_backend_error(toy_index, tmp_path, capsys):
     last = (TOY_DIR / "queries.tsv").read_text(encoding="utf-8").splitlines()[-1]
     del toy[fixture_key(build_keqe_prompt(last.split("\t", 1)[1]), 0)]
     fixtures.write_text(json.dumps(toy), encoding="utf-8")
-    for extra in ([], ["--dump-prompts", str(dump_dir)]):
-        rc = main(_run_args("csqe", toy_index, output, *extra,
-                            "--backend", "mock", "--mock-fixtures", str(fixtures)))
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "backend error" in err
-        assert "Traceback" not in err
-        assert not output.exists()
+    output.write_bytes(b"q0 Q0 d0 1 1.000000 earlier\n")
+    for jobs in ("1", "4"):
+        for extra in ([], ["--dump-prompts", str(dump_dir)]):
+            rc = main(_run_args("csqe", toy_index, output, "--jobs", jobs, *extra,
+                                "--backend", "mock", "--mock-fixtures", str(fixtures)))
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert "backend error" in err
+            assert "Traceback" not in err
+            # the four finished queries were written to a temporary file, which is gone
+            assert output.read_bytes() == b"q0 Q0 d0 1 1.000000 earlier\n"
+            assert list(tmp_path.glob("r.txt.tmp.*")) == []
+            assert not (tmp_path / "r.txt.manifest.json").exists()
     # the dump directory is made before the first query and filled only after the last one
     assert list(dump_dir.iterdir()) == []
 
@@ -143,10 +149,15 @@ def test_run_with_a_mock_fixtures_file_that_is_not_json_is_backend_error(toy_ind
     assert not output.exists()
 
 
-@pytest.mark.parametrize("command", ["cache-dir", "dump-prompts", "cache-stats", "index"])
+@pytest.mark.parametrize("command", ["cache-dir", "dump-prompts", "cache-stats", "index",
+                                     "output", "output-directory"])
 def test_a_path_that_cannot_be_opened_or_created_is_data_error(toy_index, tmp_path, capsys,
-                                                               command):
-    a_file, output = tmp_path / "a_file", tmp_path / "r.txt"
+                                                               monkeypatch, command):
+    def fetch(self, prompt, temperature, ordinals):
+        raise AssertionError("no request may be sent")
+
+    monkeypatch.setattr(MockBackend, "fetch", fetch)
+    a_file, output, cache_dir = tmp_path / "a_file", tmp_path / "r.txt", tmp_path / "cache"
     a_file.write_text("", encoding="utf-8")
     argv = {
         "cache-dir": _run_args("csqe", toy_index, output, *_mock_args(), "--cache-dir", str(a_file)),
@@ -154,12 +165,19 @@ def test_a_path_that_cannot_be_opened_or_created_is_data_error(toy_index, tmp_pa
                                   "--dump-prompts", str(a_file)),
         "cache-stats": ["cache", "stats", "--cache-dir", str(a_file)],
         "index": _run_args("bm25", a_file / "x", output),
+        # the run file is opened before the first query: no backend call is spent on a
+        # run whose output cannot be written
+        "output": _run_args("csqe", toy_index, tmp_path / "missing" / "r.txt", *_mock_args(),
+                            "--cache-dir", str(cache_dir)),
+        "output-directory": _run_args("csqe", toy_index, tmp_path, *_mock_args(),
+                                      "--cache-dir", str(cache_dir)),
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert "Traceback" not in err
     assert not output.exists()
+    assert not cache_dir.exists() or list(cache_dir.iterdir()) == []
 
 
 def test_remote_error_on_either_csqe_request_is_backend_error(toy_index, tmp_path,
@@ -671,6 +689,32 @@ def test_keqe_run_reuses_the_keqe_samples_a_csqe_run_cached(toy_index, tmp_path)
     uncached = tmp_path / "keqe_uncached.txt"
     assert main(_run_args("keqe", toy_index, uncached, *_mock_args())) == 0
     assert out.read_bytes() == uncached.read_bytes()
+
+
+def test_run_memory_grows_with_one_query_s_ranking_not_with_the_query_count(tmp_path):
+    # every document holds the query's one term, so every query ranks all 1000
+    corpus, index = tmp_path / "corpus.jsonl", tmp_path / "index.bin"
+    corpus.write_text("".join(json.dumps({"id": f"d{i:04d}", "contents": f"shark w{i}"}) + "\n"
+                              for i in range(1000)), encoding="utf-8")
+    assert main(["index", "--input", str(corpus), "--output", str(index)]) == 0
+
+    def traced_peak(n_queries):
+        queries = tmp_path / f"queries{n_queries}.tsv"
+        queries.write_text("".join(f"q{i:03d}\tshark\n" for i in range(n_queries)),
+                           encoding="utf-8")
+        argv = ["run", "--method", "bm25", "--queries", str(queries), "--index", str(index),
+                "--output", str(tmp_path / f"run{n_queries}.txt")]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    one, four = traced_peak(10), traced_peak(40)
+    assert len((tmp_path / "run40.txt").read_bytes().splitlines()) == 40 * 1000
+    assert four < 1.5 * one, (one, four)
 
 
 @pytest.mark.parametrize("command", ["index", "run"])

@@ -2,13 +2,17 @@ import io
 import json
 import sys
 import threading
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import csqe.corpus
 from csqe.corpus import (
     _ASCII_SEPARATORS,
     _TOKEN_RE,
+    _iter_lines,
     Document,
     STOPWORDS,
     parse_jsonl_corpus,
@@ -18,6 +22,8 @@ from csqe.corpus import (
 )
 from csqe.errors import DataFormatError
 from csqe.stemmer import stem
+
+from oracles import iter_lines_whole_file
 
 
 def _bytes_stream(text):
@@ -246,6 +252,71 @@ def test_parse_corpus_round_trip(texts):
     docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
     lines = [json.dumps({"id": d.id, "contents": d.text}, ensure_ascii=False) for d in docs]
     assert parse_jsonl_corpus(_bytes_stream("".join(line + "\n" for line in lines))) == docs
+
+
+# -- _iter_lines -----------------------------------------------------------------
+
+
+def _lines_outcome(read, data, kind="run"):
+    """The pairs ``read`` yields for ``data`` and the error it ends with, or None."""
+    pairs = []
+    try:
+        for pair in read(io.BytesIO(data), kind):
+            pairs.append(pair)
+    except DataFormatError as exc:
+        return pairs, str(exc)
+    return pairs, None
+
+
+# Pieces that make chunk cuts fall inside multi-byte sequences and "\r\n", lines
+# longer than a chunk, and bytes that are not UTF-8 (a lone byte, a truncated
+# sequence, an encoded surrogate).
+_LINE_PIECES = [b"a", b"q1 Q0", b" ", b"\t", b"\n", b"\n", b"\r\n", b"\r",
+                "\u00e9".encode(), "\u20ac".encode(), "\U0001d11e".encode(), b"x" * 40,
+                b"\xff", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_LINE_PIECES), max_size=30),
+       chunk_size=st.integers(1, 16))
+def test_chunked_reader_matches_the_whole_file_reader(pieces, chunk_size):
+    data = b"".join(pieces)
+    with mock.patch.object(csqe.corpus, "_CHUNK_SIZE", chunk_size):
+        assert _lines_outcome(_iter_lines, data) == _lines_outcome(iter_lines_whole_file, data)
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b"", ([(1, "")], None)),
+    (b"a\nb", ([(1, "a"), (2, "b")], None)),
+    (b"a\n", ([(1, "a"), (2, "")], None)),
+    ("\u00e9\u20ac\U0001d11e\n\u20ac".encode(),
+     ([(1, "\u00e9\u20ac\U0001d11e"), (2, "\u20ac")], None)),
+    (b"a\r\nbc\r\n\r\n", ([(1, "a\r"), (2, "bc\r"), (3, "\r"), (4, "")], None)),
+    (b"x" * 100 + b"\n" + b"y" * 50, ([(1, "x" * 100), (2, "y" * 50)], None)),
+    (b"ok\n\n" + b"z" * 30 + b"caf\xe9\nnext\n",
+     ([(1, "ok"), (2, "")], "run line 3: not valid UTF-8")),
+    (b"ok\n" + "\u20ac".encode()[:2], ([(1, "ok")], "run line 2: not valid UTF-8")),
+], ids=["empty", "no-final-newline", "final-newline", "multi-byte", "crlf", "long-lines",
+        "bad-bytes-in-a-long-line", "truncated-sequence-at-the-end"])
+def test_chunked_reader_cuts_anywhere(data, expected):
+    assert _lines_outcome(_iter_lines, data) == expected
+    for chunk_size in range(1, len(data) + 2):  # every cut, inside sequences and "\r\n" too
+        with mock.patch.object(csqe.corpus, "_CHUNK_SIZE", chunk_size):
+            assert _lines_outcome(_iter_lines, data) == expected, chunk_size
+
+
+def test_chunked_reader_holds_one_chunk_not_the_file():
+    line = b"q0001 Q0 d000123 1 12.345678 rm3\n"
+    stream = io.BytesIO(line * (8_000_000 // len(line)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in _iter_lines(stream, "run"):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # -- parse_queries_tsv ---------------------------------------------------------

@@ -1,9 +1,11 @@
 import io
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import csqe.corpus
 from csqe.errors import DataFormatError
 from csqe.evaluation import (
     average_precision,
@@ -361,9 +363,9 @@ def _outcome(parse, source):
        bad_line=st.none() | st.tuples(st.integers(0, 12), _bad_line),
        bad_bytes=st.none() | st.tuples(st.integers(0, 12), st.sampled_from(
            [b"\xff", b"\xe9 ", b"\xe2\x82", b"\xed\xa0\x80"])),
-       unterminated=st.booleans())
+       unterminated=st.booleans(), chunk_size=st.integers(1, 16))
 def test_one_pass_parser_matches_the_line_by_line_parser(lines, bad_line, bad_bytes,
-                                                         unterminated):
+                                                         unterminated, chunk_size):
     if bad_line is not None:
         lines.insert(bad_line[0] % (len(lines) + 1), bad_line[1])
     if unterminated and lines:
@@ -374,7 +376,9 @@ def test_one_pass_parser_matches_the_line_by_line_parser(lines, bad_line, bad_by
         raw[at] = bad_bytes[1] + raw[at]
     data = b"".join(raw)
     expected = _outcome(line_by_line_parse_trec_run, io.BytesIO(data))
-    assert _outcome(parse_trec_run, io.BytesIO(data)) == expected
+    # chunks of 1-16 bytes cut lines, multi-byte sequences and "\r\n" pairs anywhere
+    with mock.patch.object(csqe.corpus, "_CHUNK_SIZE", chunk_size):
+        assert _outcome(parse_trec_run, io.BytesIO(data)) == expected
 
 
 # -- evaluate_run ----------------------------------------------------------------------
