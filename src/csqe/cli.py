@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import uuid
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, suppress
 from datetime import datetime, timezone
@@ -282,6 +283,18 @@ def _query_runner(method: str, config: dict, index: InvertedIndex):
     return lambda query: expansion.csqe_pipeline(query, index, client, cfg, top_k=topk)
 
 
+def _map_ahead(pool: ThreadPoolExecutor, fn, items, ahead: int):
+    """Yield ``fn(item)`` for each item in order, running on ``pool`` at most
+    ``ahead`` items past the one whose result is being taken."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) > ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def cmd_run(args) -> int:
     config = _resolve_run_config(args)
     fixed_time = _source_date_epoch()
@@ -301,9 +314,10 @@ def cmd_run(args) -> int:
         return run_one(query)
 
     # The run file is written under a temporary name, one query at a time as its
-    # result arrives, and renamed after the last one: memory holds the rankings not
-    # yet written (one, for --jobs 1), an output that cannot be created fails before
-    # any backend call, and a failed run leaves an existing output untouched.
+    # result arrives, and renamed after the last one: memory holds the ranking being
+    # written and at most 2 x jobs queries' results ahead of it (none, for --jobs 1),
+    # an output that cannot be created fails before any backend call, and a failed run
+    # leaves an existing output untouched.
     if os.path.isdir(args.output):  # os.replace would refuse it only after the last query
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
     generations = []
@@ -311,8 +325,10 @@ def cmd_run(args) -> int:
     try:
         with open(tmp, "x", encoding="utf-8") as fh, ExitStack() as stack:
             if config["jobs"] > 1:
-                pool = stack.enter_context(ThreadPoolExecutor(max_workers=config["jobs"]))
-                results = pool.map(run_query, queries)
+                pool = ThreadPoolExecutor(max_workers=config["jobs"])
+                # on failure, the queries not yet started are dropped rather than run
+                stack.callback(pool.shutdown, cancel_futures=True)
+                results = _map_ahead(pool, run_query, queries, 2 * config["jobs"])
             else:
                 results = map(run_query, queries)
             for query, (hits, gens) in zip(queries, results):

@@ -25,6 +25,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 from typing import BinaryIO, Mapping, Optional, Sequence, Union
 
@@ -57,16 +58,42 @@ def parse_qrels(stream: BinaryIO) -> dict[str, dict[str, int]]:
     return judgments
 
 
+# The template of the deepest ranking written so far, and the end offset of each of
+# its lines. Line r is "%s Q0 %s r %.6f%s" with the rank r baked in, so the template of
+# a shallower ranking is a prefix of it. Replaced as one tuple, never mutated, so a
+# thread always slices a template with its own offsets.
+_run_template: tuple[str, list[int]] = ("", [])
+
+
+def _template_for(depth: int) -> str:
+    """The template of ``depth`` lines, cut from the shared one (grown first if too short)."""
+    global _run_template
+    template, ends = _run_template
+    if depth > len(ends):
+        lines = ["%%s Q0 %%s %d %%.6f%%s" % rank
+                 for rank in range(1, max(depth, 2 * len(ends)) + 1)]
+        template, ends = "".join(lines), list(accumulate(map(len, lines)))
+        _run_template = template, ends
+    return template[:ends[depth - 1]]
+
+
 def write_trec_run(rankings: Mapping[str, Sequence[tuple[str, float]]], tag: str = "run") -> str:
-    """Render rankings as ``qid Q0 docid rank score tag`` lines."""
-    lines = []
-    tail = f" {tag}\n".replace("%", "%%")
+    """Render rankings as ``qid Q0 docid rank score tag`` lines.
+
+    Each query's ranking is rendered by one ``%`` on a template with the ranks
+    baked in, cut from a module-level template shared by every call; calls
+    from several threads at once are safe. The query id, doc ids and tag are
+    ``%s`` arguments, so a ``%`` or brace in them prints as itself.
+    """
+    tail = f" {tag}\n"
+    blocks = []
     for qid, hits in rankings.items():
-        # one %-template per query; a "%" in the query id or tag is doubled to print as itself
-        template = str(qid).replace("%", "%%") + " Q0 %s %d %.6f" + tail
-        lines.extend([template % (docid, rank, score)
-                      for rank, (docid, score) in enumerate(hits, start=1)])
-    return "".join(lines)
+        if not hits:
+            continue
+        args = [qid, None, None, tail] * len(hits)
+        args[1::4], args[2::4] = zip(*hits)
+        blocks.append(_template_for(len(hits)) % tuple(args))
+    return "".join(blocks)
 
 
 def parse_trec_run(stream: BinaryIO) -> dict[str, list[tuple[str, float]]]:

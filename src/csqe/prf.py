@@ -11,6 +11,7 @@ Defaults (fb_docs=10, fb_terms=10, original_weight=0.5) follow the common
 toolkit defaults; they are assumptions, not tuned values.
 """
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -73,7 +74,8 @@ def rm3_expand(index: InvertedIndex, query_text: str, cfg: Rm3Config) -> Weighte
                 continue
             feedback[term] = feedback.get(term, 0.0) + doc_weight * tf / length
 
-    selected = sorted(feedback.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.fb_terms]
+    # the fb_terms heaviest terms, ties by term: equal to the sorted list's prefix
+    selected = heapq.nsmallest(cfg.fb_terms, feedback.items(), key=lambda kv: (-kv[1], kv[0]))
     total = sum(p for _, p in selected)
 
     ow = cfg.original_weight

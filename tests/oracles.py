@@ -210,3 +210,13 @@ def parse_trec_run(stream: BinaryIO) -> dict[str, list[tuple[str, float]]]:
     for qid in rankings:
         rankings[qid].sort(key=lambda pair: -pair[1])
     return rankings
+
+
+# -- run-file writer oracle --------------------------------------------------
+
+
+def write_trec_run(rankings, tag="run"):
+    """``qid Q0 docid rank score tag`` lines, one f-string per hit."""
+    return "".join(f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
+                   for qid, hits in rankings.items()
+                   for rank, (doc, score) in enumerate(hits, start=1))

@@ -691,8 +691,9 @@ def test_keqe_run_reuses_the_keqe_samples_a_csqe_run_cached(toy_index, tmp_path)
     assert out.read_bytes() == uncached.read_bytes()
 
 
-def test_run_memory_grows_with_one_query_s_ranking_not_with_the_query_count(tmp_path):
-    # every document holds the query's one term, so every query ranks all 1000
+def _traced_bm25_run_peaks(tmp_path, query_counts, *options):
+    """Traced peak of a bm25 run over each number of queries, where every one of
+    the 1000 documents holds the query's one term, so every query ranks all 1000."""
     corpus, index = tmp_path / "corpus.jsonl", tmp_path / "index.bin"
     corpus.write_text("".join(json.dumps({"id": f"d{i:04d}", "contents": f"shark w{i}"}) + "\n"
                               for i in range(1000)), encoding="utf-8")
@@ -702,18 +703,30 @@ def test_run_memory_grows_with_one_query_s_ranking_not_with_the_query_count(tmp_
         queries = tmp_path / f"queries{n_queries}.tsv"
         queries.write_text("".join(f"q{i:03d}\tshark\n" for i in range(n_queries)),
                            encoding="utf-8")
+        run = tmp_path / f"run{n_queries}.txt"
         argv = ["run", "--method", "bm25", "--queries", str(queries), "--index", str(index),
-                "--output", str(tmp_path / f"run{n_queries}.txt")]
+                "--output", str(run), *options]
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             assert main(argv) == 0
-            return tracemalloc.get_traced_memory()[1] - start
+            peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
+        assert len(run.read_bytes().splitlines()) == n_queries * 1000
+        return peak
 
-    one, four = traced_peak(10), traced_peak(40)
-    assert len((tmp_path / "run40.txt").read_bytes().splitlines()) == 40 * 1000
+    return [traced_peak(n) for n in query_counts]
+
+
+def test_run_memory_grows_with_one_query_s_ranking_not_with_the_query_count(tmp_path):
+    one, four = _traced_bm25_run_peaks(tmp_path, [10, 40])
+    assert four < 1.5 * one, (one, four)
+
+
+def test_parallel_run_memory_does_not_grow_with_the_query_count(tmp_path):
+    # --jobs 4 runs at most 8 queries ahead of the one being written
+    one, four = _traced_bm25_run_peaks(tmp_path, [20, 80], "--jobs", "4")
     assert four < 1.5 * one, (one, four)
 
 

@@ -1,11 +1,15 @@
 import io
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import csqe.corpus
+import csqe.evaluation
 from csqe.errors import DataFormatError
 from csqe.evaluation import (
     average_precision,
@@ -20,6 +24,7 @@ from csqe.evaluation import (
 
 from oracles import ap_oracle, ndcg_oracle, recall_oracle
 from oracles import parse_trec_run as line_by_line_parse_trec_run
+from oracles import write_trec_run as oracle_write_trec_run
 
 
 def _stream(text):
@@ -311,6 +316,58 @@ def test_tied_scores_keep_file_order_unlike_trec_eval():
 def test_write_trec_run_prints_percent_and_braces_literally():
     text = write_trec_run({"q%d{0}": [("d%s{}", 1.5)]}, tag="t%%{tag}")
     assert text == "q%d{0} Q0 d%s{} 1 1.500000 t%%{tag}\n"
+
+
+# Ids and tags the writer must print as themselves: format characters, braces
+# and non-ASCII text, besides arbitrary strings.
+_writer_id = st.text(st.sampled_from("%%{}sd0.é€中") | st.characters(), max_size=6)
+_writer_score = (st.floats(allow_nan=False) | st.integers(-10 ** 6, 10 ** 6)
+                 | st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, math.inf, -math.inf]))
+
+
+@st.composite
+def _writer_rankings(draw):
+    """Several queries of depth 0-40, in an order that both grows and cuts the template."""
+    rankings = {}
+    for qid in draw(st.lists(_writer_id, unique=True, min_size=1, max_size=5)):
+        depth = draw(st.integers(0, 40))
+        rankings[qid] = draw(st.lists(st.tuples(_writer_id, _writer_score),
+                                      min_size=depth, max_size=depth))
+    return rankings
+
+
+@settings(max_examples=100, deadline=None)
+@given(rankings=_writer_rankings(), tag=_writer_id)
+def test_write_trec_run_matches_the_per_line_writer(rankings, tag):
+    # each example starts from an empty shared template, so the call must grow it
+    with mock.patch.object(csqe.evaluation, "_run_template", ("", [])):
+        assert write_trec_run(rankings, tag) == oracle_write_trec_run(rankings, tag)
+
+
+def test_write_trec_run_from_many_threads_at_once():
+    # 8 threads write rankings of different depths while the shared template grows
+    def ranking(thread, depth):
+        return {f"q%{thread}": [(f"d{{{i}}}", (depth - i) / 7) for i in range(depth)]}
+
+    barrier = threading.Barrier(8)
+    mismatches = []
+
+    def write(thread):
+        barrier.wait(timeout=30)
+        for depth in range(thread + 1, 1200, 8 + 13 * thread):
+            rankings = ranking(thread, depth)
+            if write_trec_run(rankings, "t%s") != oracle_write_trec_run(rankings, "t%s"):
+                mismatches.append((thread, depth))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(csqe.evaluation, "_run_template", ("", [])):
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(write, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert mismatches == []
 
 
 def test_parse_run_rejects_a_nan_score():

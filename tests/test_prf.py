@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csqe.corpus import STOPWORDS
+from csqe.corpus import STOPWORDS, Document, tokenize
+from csqe.index import build_index
 from csqe.prf import Rm3Config, rm3_expand, rm3_search
 
 from oracles import rm3_weights
@@ -99,6 +100,44 @@ def test_at_most_fb_terms_feedback_terms(shark_index):
     cfg = Rm3Config(fb_docs=3, fb_terms=1, original_weight=0.0)
     wq = rm3_expand(shark_index, "shark", cfg)
     assert len(wq.weights) == 1
+
+
+# Porter fixed points that are not stopwords, so a document's text tokenizes
+# to the token list it was made from.
+_VOCAB = ["crab", "kelp", "reef", "sand", "shark", "tide", "warm"]
+assert all(tokenize(word) == [word] for word in _VOCAB)
+
+
+@st.composite
+def _corpus_with_duplicates(draw):
+    """Token lists in which some documents repeat, so their feedback weights tie
+    exactly, and terms that occur together with equal counts tie too."""
+    bases = draw(st.lists(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=5),
+                          min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(bases) - 1), min_size=len(bases) + 1,
+                          max_size=len(bases) + 4))
+    return [bases[i] for i in picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    token_lists=_corpus_with_duplicates(),
+    query=st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=3),
+    fb_docs=st.integers(1, 4),
+    fb_terms=st.integers(1, 4),
+    ow=st.sampled_from([0.0, 0.3, 0.5]),
+)
+def test_expand_selects_the_oracle_s_terms_on_corpora_with_ties(token_lists, query, fb_docs,
+                                                               fb_terms, ow):
+    doc_ids = [f"d{i:02d}" for i in range(len(token_lists))]
+    index = build_index([Document(d, " ".join(t)) for d, t in zip(doc_ids, token_lists)])
+    cfg = Rm3Config(fb_docs=fb_docs, fb_terms=fb_terms, original_weight=ow)
+    weights = rm3_expand(index, " ".join(query), cfg).weights
+    expected = rm3_weights(doc_ids, token_lists, query, fb_docs=fb_docs, fb_terms=fb_terms,
+                           original_weight=ow, stopwords=STOPWORDS)
+    assert set(weights) == set(expected)
+    for term, weight in expected.items():
+        assert weights[term] == pytest.approx(weight, rel=0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
