@@ -47,13 +47,16 @@ a bm25 run or ``csqe search`` never decompresses a text.
 
 ``load`` checks that k1 and b pass ``check_bm25_params``, that the stream
 sizes add up to the file, that the texts stream matches its crc32, that the
-array widths and lengths agree, that the document ids are distinct and the
-terms strictly ascending, and that every postings list names distinct
-documents that exist, and raises ``DataFormatError`` otherwise. A texts
-stream that passes its crc32 but does not decode to one string per document
-raises ``DataFormatError`` from the first read of ``doc_texts``. Files of
-earlier format versions are refused with ``unsupported index format
-version <n>``.
+array widths and lengths agree, and that the document ids are distinct and the
+terms strictly ascending, and raises ``DataFormatError`` otherwise. A postings
+list that names a document twice, or one that does not exist, raises
+``DataFormatError`` from the first search that reads it, before its pair is
+kept, so it is never scored and every later search of the term raises again:
+a search reads a few hundred of the lists, and checking all of them was about
+half of a load. A texts stream that passes its crc32 but does not decode to
+one string per document raises ``DataFormatError`` from the first read of
+``doc_texts``. Files of earlier format versions are refused with
+``unsupported index format version <n>``.
 """
 
 import json
@@ -149,6 +152,7 @@ class InvertedIndex:
         doc_texts: list[str] | Callable[[], list[str]],
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
+        source: str = "in-memory index",
     ):
         self.terms = terms
         self.offsets = offsets
@@ -163,6 +167,7 @@ class InvertedIndex:
         self._texts_lock = threading.Lock()
         self.k1 = k1
         self.b = b
+        self._source = source  # names the index in the error a damaged postings list raises
         self.doc_count = len(doc_ids)
         avg = sum(doc_lens) / self.doc_count if self.doc_count else 0.0
         self._slots = {term: slot for slot, term in enumerate(terms)}
@@ -216,7 +221,14 @@ class InvertedIndex:
             if postings is None:
                 # threads racing on a term's first use each build an equal pair, and a
                 # list item store is atomic, so every reader sees a whole pair: no lock
-                ordinals = array(_U32, accumulate(self.gaps[start:end]))
+                gaps = self.gaps[start:end]
+                # the sum is checked before the u32 array is built, which it could overflow
+                problem = ("duplicate ordinal in a postings list" if 0 in gaps[1:]
+                           else "posting ordinal out of range"
+                           if gaps and sum(gaps) >= self.doc_count else None)
+                if problem:
+                    raise DataFormatError(f"{self._source}: corrupt index payload ({problem})")
+                ordinals = array(_U32, accumulate(gaps))
                 impacts = array("d", [tf * k1p1 / (tf + knorm[o])
                                       for o, tf in zip(ordinals, self.tfs[start:end])])
                 postings = decoded[slot] = ordinals, impacts
@@ -313,17 +325,10 @@ class InvertedIndex:
             if not (len(doc_ids) == len(doc_lens) and len(terms) == len(dfs)
                     and sum(dfs) == len(gaps) == len(tfs)):
                 raise ValueError("section lengths disagree")
-            offsets = [0, *accumulate(dfs)]
-            for start, end in zip(offsets, offsets[1:]):
-                run = gaps[start:end]
-                if 0 in run[1:]:
-                    raise ValueError("duplicate ordinal in a postings list")
-                if run and sum(run) >= len(doc_ids):
-                    raise ValueError("posting ordinal out of range")
         except (zlib.error, ValueError) as exc:
             raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
-        return cls(terms, offsets, gaps, tfs, doc_ids, doc_lens.tolist(),
-                   partial(_decode_texts, path, texts, len(doc_ids)), k1=k1, b=b)
+        return cls(terms, [0, *accumulate(dfs)], gaps, tfs, doc_ids, doc_lens.tolist(),
+                   partial(_decode_texts, path, texts, len(doc_ids)), k1=k1, b=b, source=path)
 
 
 def _decode_texts(path: str, stream: bytes, count: int) -> list[str]:
@@ -342,7 +347,8 @@ def _decode_texts(path: str, stream: bytes, count: int) -> list[str]:
 
 
 def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+    # map keeps the per-item check in C: load runs it over every document id and term
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
 
 
 def _json_bytes(value) -> bytes:

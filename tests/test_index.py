@@ -531,10 +531,6 @@ def _header_only_part(path):
     (_texts_byte_flipped, "texts stream fails its crc32 check"),
     # same byte size, but sum(dfs) != number of postings
     (_edit_arrays(1, _bump(0, 1)), "section lengths disagree"),
-    # the last posting now points past the last document
-    (_edit_arrays(2, _bump(-1, 3)), "ordinal out of range"),
-    # shark's list becomes d1, d1
-    (_edit_arrays(2, _set(2, 0)), "duplicate ordinal"),
     (_strings(b'[["d1","d1","d3"],["cold","shark","warm"]]'), "duplicate document id"),
     (_strings(b'[["d1","d2","d3"],["cold","warm","shark"]]'), "terms are not strictly ascending"),
     (_strings(b'[["d1","d2","d3"],["cold","shark","shark"]]'),
@@ -549,9 +545,9 @@ def _header_only_part(path):
     (_bm25_params(0.9, math.nan), "b must be >= 0 and <= 1, got nan"),
     (_bm25_params(0.9, math.inf), "b must be >= 0 and <= 1, got inf"),
     (_bm25_params(0.9, 3.0), "b must be >= 0 and <= 1, got 3.0"),
-], ids=["v1", "v2", "v3", "sizes", "texts-crc32", "dfs", "ordinal", "duplicate",
-        "duplicate-doc-id", "unsorted-terms", "repeated-term", "width3", "width8", "strings",
-        "header", "k1-nan", "k1-inf", "k1-negative", "b-nan", "b-inf", "b-above-1"])
+], ids=["v1", "v2", "v3", "sizes", "texts-crc32", "dfs", "duplicate-doc-id", "unsorted-terms",
+        "repeated-term", "width3", "width8", "strings", "header", "k1-nan", "k1-inf",
+        "k1-negative", "b-nan", "b-inf", "b-above-1"])
 def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys,
                                                    corrupt, message):
     path = tmp_path / "toy.bin"
@@ -562,6 +558,103 @@ def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys
     assert main(["search", "--index", str(path), "--query", "shark"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err
+
+
+def _shark_gaps_past_u32(path):
+    k1, b, strings, arrays, widths = _read(path)
+    arrays[2][1:3] = [2**32 - 1, 5]  # shark's gaps, stored 4 bytes wide
+    widths[2] = 4
+    _write(path, k1, b, strings, arrays, widths)
+
+
+# shark's list d1, d2 (gaps 0 1) becomes d1, d5, or d1, d1, or has gaps that sum past
+# 2**32; a search of the term is the first to read it
+_BAD_SHARK_LISTS = pytest.mark.parametrize("corrupt, message", [
+    (_edit_arrays(2, _bump(2, 3)), "posting ordinal out of range"),
+    (_edit_arrays(2, _set(2, 0)), "duplicate ordinal in a postings list"),
+    (_shark_gaps_past_u32, "posting ordinal out of range"),
+], ids=["ordinal", "duplicate", "past-u32"])
+
+
+def _damaged(tmp_path, shark_index, corrupt):
+    path = tmp_path / "toy.bin"
+    shark_index.save(str(path))
+    corrupt(path)
+    return path
+
+
+@_BAD_SHARK_LISTS
+def test_a_damaged_postings_list_is_refused_on_its_first_search(tmp_path, shark_index, capsys,
+                                                                corrupt, message):
+    path = _damaged(tmp_path, shark_index, corrupt)
+    index = InvertedIndex.load(str(path))
+    expected = f"{path}: corrupt index payload ({message})"
+    with pytest.raises(DataFormatError) as refused:
+        index.search("shark", 10)
+    assert str(refused.value) == expected
+    assert main(["search", "--index", str(path), "--query", "shark"]) == 2
+    assert capsys.readouterr().err == f"data error: {expected}\n"
+
+
+@_BAD_SHARK_LISTS
+def test_a_file_with_one_bad_list_refuses_only_that_term(tmp_path, shark_index, corrupt,
+                                                          message):
+    index = InvertedIndex.load(str(_damaged(tmp_path, shark_index, corrupt)))
+    slot = index.terms.index("shark")
+    good = WeightedQuery({"cold": 1.0, "warm": 0.5})
+    bad = WeightedQuery({"cold": 1.0, "shark": 0.5})
+    for search in (lambda index: index.search("shark", 10),
+                   lambda index: index.search_weighted(bad, 10)):
+        for _ in range(2):  # nothing was kept, so a second search raises again
+            with pytest.raises(DataFormatError, match=message):
+                search(index)
+            assert index._postings[slot] is None
+        for query in ("cold", "warm", "cold warm"):
+            assert index.search(query, 10) == shark_index.search(query, 10)
+        assert index.search_weighted(good, 10) == shark_index.search_weighted(good, 10)
+
+
+@_BAD_SHARK_LISTS
+def test_concurrent_first_uses_of_a_bad_list_all_raise(tmp_path, shark_index, corrupt, message):
+    index = InvertedIndex.load(str(_damaged(tmp_path, shark_index, corrupt)))
+    start = threading.Barrier(8)
+    errors = []
+
+    def search():
+        start.wait(timeout=10)
+        try:
+            index.search("shark cold", 10)
+        except DataFormatError as exc:
+            errors.append(str(exc))
+
+    threads = [threading.Thread(target=search) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(errors) == 8 and all(message in error for error in errors)
+    assert index._postings[index.terms.index("shark")] is None
+
+
+def test_a_run_over_a_bad_list_fails_and_leaves_its_output(tmp_path, shark_index, capsys):
+    path = _damaged(tmp_path, shark_index, _edit_arrays(2, _set(2, 0)))
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("q1\tcold\nq2\twarm\nq3\tshark\nq4\tcold warm\n", encoding="utf-8")
+    output = tmp_path / "out" / "run.txt"
+    output.parent.mkdir()
+    output.write_text("an earlier run\n", encoding="utf-8")
+    assert main(["run", "--method", "bm25", "--jobs", "2", "--queries", str(queries),
+                 "--index", str(path), "--output", str(output)]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {path}: corrupt index payload (duplicate ordinal" in err
+    assert output.read_text(encoding="utf-8") == "an earlier run\n"
+    assert [p.name for p in output.parent.iterdir()] == ["run.txt"]  # no tmp, no manifest
 
 
 def test_concurrent_first_reads_of_doc_texts_share_one_decoded_list(tmp_path, shark_docs,
