@@ -26,20 +26,27 @@ pair for later searches: a query decodes only the lists it reads, and a term
 of weight ``w`` adds ``w * idf * c`` to each of its documents, one multiply
 per posting. The pair costs 12 bytes per decoded posting.
 
-On-disk layout (format version 4): the 8-byte magic ``CSQEIDX1``, the
-version as a little-endian u32, a header ``<dd3QI4Q4B`` (k1, b, the byte size
+On-disk layout (format version 5): the 8-byte magic ``CSQEIDX1``, the
+version as a little-endian u32, a header ``<dd3QI5Q5B`` (k1, b, the byte size
 of each of the three zlib streams that follow, the crc32 of the second
-stream as stored, then the count and the byte width of each of the four
-arrays below), and the three streams:
+stream as stored, then the count and the byte width of each of the five
+arrays below), and the three streams, each at zlib level 5:
 
-1. UTF-8 JSON ``[doc_ids, terms]`` with terms sorted, at zlib level 5;
-2. UTF-8 JSON ``doc_texts``, one string per document, at level 5;
-3. at level 6, the little-endian unsigned arrays, end to end:
-   ``doc_lens``, one per document; ``dfs``, one per term, the length of its
-   postings list; posting ordinals, gap-coded within each term's list (the
-   first entry is the ordinal itself, each later one the distance to the
-   one before); posting tfs, aligned with the ordinals. Each array is 1, 2
-   or 4 bytes wide, the narrowest that holds its largest value.
+1. the document ids, then the sorted terms, as UTF-8 joined with ``"\n"``;
+   a document id is never empty and holds no whitespace, and neither does a
+   term, so the names split back at ``"\n"`` and the first ``doc_count`` of
+   them are the ids;
+2. the document texts as UTF-8, end to end;
+3. the unsigned arrays, end to end: ``doc_lens``, one per document;
+   ``dfs``, one per term, the length of its postings list; posting
+   ordinals, gap-coded within each term's list (the first entry is the
+   ordinal itself, each later one the distance to the one before); posting
+   tfs, aligned with the ordinals; ``text_lens``, the UTF-8 byte length of
+   each document's text. Each array is 1, 2 or 4 bytes wide, the narrowest
+   that holds its largest value, and is stored in byte planes: byte 0 of
+   every value (the least significant), then byte 1 of every value, up to
+   its width (the "shuffle" filter of HDF5 and Blosc). Gaps and tfs are
+   mostly small, so their high planes are runs of zeros that compress well.
 
 Only RM3 and CSQE read document texts, so ``load`` keeps the texts stream
 compressed and ``doc_texts`` decodes it on its first read, once per index:
@@ -47,19 +54,20 @@ a bm25 run or ``csqe search`` never decompresses a text.
 
 ``load`` checks that k1 and b pass ``check_bm25_params``, that the stream
 sizes add up to the file, that the texts stream matches its crc32, that the
+names stream is UTF-8 and holds one name per document and term, that the
 array widths and lengths agree, and that the document ids are distinct and the
 terms strictly ascending, and raises ``DataFormatError`` otherwise. A postings
 list that names a document twice, or one that does not exist, raises
 ``DataFormatError`` from the first search that reads it, before its pair is
 kept, so it is never scored and every later search of the term raises again:
 a search reads a few hundred of the lists, and checking all of them was about
-half of a load. A texts stream that passes its crc32 but does not decode to
-one string per document raises ``DataFormatError`` from the first read of
-``doc_texts``. Files of earlier format versions are refused with
-``unsupported index format version <n>``.
+half of a load. A texts stream that passes its crc32 but whose text lengths
+do not add up to its size, or whose texts are not UTF-8, raises
+``DataFormatError`` from the first read of ``doc_texts``. Files of earlier
+format versions, 4 included, are refused with ``unsupported index format
+version <n>``.
 """
 
-import json
 import math
 import os
 import struct
@@ -76,21 +84,21 @@ from itertools import accumulate, chain, repeat
 from operator import lt, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .corpus import Document, tokenize
+from .corpus import Document, is_single_field, tokenize
 from .errors import DataFormatError
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 
 _MAGIC = b"CSQEIDX1"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 # k1, b, byte size of each zlib stream, crc32 of the texts stream, count of each array,
 # byte width of each array
-_HEADER = struct.Struct("<dd3QI4Q4B")
+_HEADER = struct.Struct("<dd3QI5Q5B")
 _TYPECODES = {array(code).itemsize: code for code in "LIHB"}  # byte width -> typecode
 _U32 = _TYPECODES[4]
-_STRING_LEVEL = 5  # the texts are most of the file and of the time save spends compressing
-_ARRAY_LEVEL = 6
+# every stream's; the texts are most of the file and of the time save spends compressing
+_ZLIB_LEVEL = 5
 
 
 def check_bm25_params(k1: float, b: float) -> None:
@@ -265,13 +273,18 @@ class InvertedIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        dfs = list(map(sub, self.offsets[1:], self.offsets))
-        arrays = [_narrowest(values) for values in (self.doc_lens, dfs, self.gaps, self.tfs)]
-        streams = [zlib.compress(_json_bytes(strings), _STRING_LEVEL)
-                   for strings in ([self.doc_ids, self.terms], self.doc_texts)]
-        streams.append(zlib.compress(b"".join(map(_le_bytes, arrays)), _ARRAY_LEVEL))
+        texts = [text.encode("utf-8") for text in self.doc_texts]
+        dfs = array(_U32, map(sub, self.offsets[1:], self.offsets))
+        arrays = [array(_U32, self.doc_lens), dfs, self.gaps, self.tfs,
+                  array(_U32, map(len, texts))]
+        widths, planes = zip(*map(_planes, arrays))
+        streams = [zlib.compress(raw, _ZLIB_LEVEL) for raw in (
+            "\n".join(chain(self.doc_ids, self.terms)).encode("utf-8"),
+            b"".join(texts),
+            b"".join(planes),
+        )]
         header = _HEADER.pack(self.k1, self.b, *map(len, streams), zlib.crc32(streams[1]),
-                              *map(len, arrays), *(values.itemsize for values in arrays))
+                              *map(len, arrays), *widths)
         # unique per call: concurrent or nested saves to one path never share it
         tmp = f"{path}.tmp.{uuid.uuid4().hex}"
         try:
@@ -312,61 +325,55 @@ class InvertedIndex:
             check_bm25_params(k1, b)
             if zlib.crc32(texts) != texts_crc:
                 raise ValueError("texts stream fails its crc32 check")
-            strings = json.loads(zlib.decompress(names))
-            if not (isinstance(strings, list) and len(strings) == 2
-                    and all(_is_str_list(part) for part in strings)):
-                raise ValueError("names stream is not two lists of strings")
-            doc_ids, terms = strings
-            if len(set(doc_ids)) != len(doc_ids):
+            names = zlib.decompress(names).decode("utf-8").split("\n")
+            doc_lens, dfs, gaps, tfs, text_lens = _read_arrays(
+                zlib.decompress(packed), shape[:5], shape[5:])
+            doc_count = len(doc_lens)
+            if len(names) != doc_count + len(dfs):
+                raise ValueError(f"names stream holds {len(names)} names, not "
+                                 f"{doc_count} document ids and {len(dfs)} terms")
+            doc_ids, terms = names[:doc_count], names[doc_count:]
+            if len(set(doc_ids)) != doc_count:
                 raise ValueError("duplicate document id")
             if not all(map(lt, terms, terms[1:])):
                 raise ValueError("terms are not strictly ascending")
-            doc_lens, dfs, gaps, tfs = _read_arrays(zlib.decompress(packed), shape[:4], shape[4:])
-            if not (len(doc_ids) == len(doc_lens) and len(terms) == len(dfs)
-                    and sum(dfs) == len(gaps) == len(tfs)):
+            if not (sum(dfs) == len(gaps) == len(tfs) and len(text_lens) == doc_count):
                 raise ValueError("section lengths disagree")
         except (zlib.error, ValueError) as exc:
             raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
         return cls(terms, [0, *accumulate(dfs)], gaps, tfs, doc_ids, doc_lens.tolist(),
-                   partial(_decode_texts, path, texts, len(doc_ids)), k1=k1, b=b, source=path)
+                   partial(_decode_texts, path, texts, text_lens), k1=k1, b=b, source=path)
 
 
-def _decode_texts(path: str, stream: bytes, count: int) -> list[str]:
-    """The texts stream of the index file at ``path`` as ``count`` strings.
+def _decode_texts(path: str, stream: bytes, lengths: array) -> list[str]:
+    """The texts stream of the index file at ``path``, cut at the byte ``lengths``.
 
     Raises:
-        DataFormatError: if the stream does not decode to ``count`` strings.
+        DataFormatError: if the lengths do not add up to the stream, or a text
+            is not UTF-8.
     """
     try:
-        texts = json.loads(zlib.decompress(stream))
-        if not (_is_str_list(texts) and len(texts) == count):
-            raise ValueError(f"texts stream is not a list of {count} strings")
+        blob = zlib.decompress(stream)
+        total = sum(lengths)
+        if total != len(blob):
+            raise ValueError(f"text lengths sum to {total} bytes, not the texts "
+                             f"stream's {len(blob)}")
+        view, ends = memoryview(blob), list(accumulate(lengths))
+        texts = [str(view[start:end], "utf-8") for start, end in zip([0, *ends], ends)]
     except (zlib.error, ValueError) as exc:
         raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
     return texts
 
 
-def _is_str_list(value) -> bool:
-    # map keeps the per-item check in C: load runs it over every document id and term
-    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
-
-
-def _json_bytes(value) -> bytes:
-    return json.dumps(value, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-
-
-def _narrowest(values) -> array:
-    """``values`` as an unsigned array of the narrowest width that holds them."""
+def _planes(values: array) -> tuple[int, bytes]:
+    """The narrowest width that holds ``values``, and their byte planes at that width."""
     top = max(values, default=0)
     width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
-    return array(_TYPECODES[width], values)
-
-
-def _le_bytes(values: array) -> bytes:
     if sys.byteorder == "big":
         values = array(values.typecode, values)
         values.byteswap()
-    return values.tobytes()
+    raw, step = values.tobytes(), values.itemsize  # the planes past width are all zero
+    return width, b"".join(raw[plane::step] for plane in range(width))
 
 
 def _read_arrays(raw: bytes, counts: Sequence[int], widths: Sequence[int]) -> list[array]:
@@ -377,8 +384,12 @@ def _read_arrays(raw: bytes, counts: Sequence[int], widths: Sequence[int]) -> li
         raise ValueError(f"array sizes do not sum to {len(raw)} bytes")
     arrays, offset, view = [], 0, memoryview(raw)
     for count, width in zip(counts, widths):
+        interleaved = bytearray(count * width)
+        for plane in range(width):
+            start = offset + plane * count
+            interleaved[plane::width] = view[start:start + count]
         values = array(_TYPECODES[width])
-        values.frombytes(view[offset:offset + count * width])
+        values.frombytes(interleaved)
         if sys.byteorder == "big":
             values.byteswap()
         arrays.append(values)
@@ -395,7 +406,8 @@ def build_index(
 
     Raises:
         ValueError: on a k1 or b that ``check_bm25_params`` refuses.
-        DataFormatError: on an empty collection or duplicate document ids.
+        DataFormatError: on an empty collection, a document id that is empty or
+            holds whitespace (``is_single_field``), or duplicate document ids.
     """
     check_bm25_params(k1, b)
     if not docs:
@@ -406,6 +418,8 @@ def build_index(
     doc_lens: list[int] = []
     doc_texts: list[str] = []
     for ordinal, doc in enumerate(docs):
+        if not is_single_field(doc.id):
+            raise DataFormatError(f"document id {doc.id!r} is empty or contains whitespace")
         if doc.id in seen:
             raise DataFormatError(f"duplicate document id '{doc.id}'")
         seen.add(doc.id)

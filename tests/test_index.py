@@ -12,7 +12,7 @@ from array import array
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import csqe.index
 from csqe.cli import main
@@ -59,6 +59,13 @@ def test_build_index_rejects_empty_collection():
 def test_build_index_rejects_duplicate_ids():
     with pytest.raises(DataFormatError, match="dup"):
         build_index([Document("dup", "x1"), Document("dup", "x2")])
+
+
+@pytest.mark.parametrize("doc_id", ["a b", "a\nb", "a\tb", "a\u2028b", ""])
+def test_build_index_refuses_an_id_that_is_empty_or_holds_whitespace(doc_id):
+    # ids are fields of run file lines, and the index file separates them with "\n"
+    with pytest.raises(DataFormatError, match="is empty or contains whitespace"):
+        build_index([Document("ok", "x1"), Document(doc_id, "x2")])
 
 
 def _decoded_lists(index):
@@ -332,76 +339,96 @@ def test_load_rejects_truncated_payload(tmp_path, shark_docs):
 # the documented on-disk layout, restated here so the tests pin it
 MAGIC = b"CSQEIDX1"
 # k1, b, stream sizes, crc32 of the texts stream, array counts, array widths
-HEADER = struct.Struct("<dd3QI4Q4B")
+HEADER = struct.Struct("<dd3QI5Q5B")
 BODY = len(MAGIC) + 4 + HEADER.size
 FORMATS = {1: "B", 2: "H", 4: "I"}
 
 
+def _planes(values, width):
+    """Byte 0 of every value, then byte 1, up to ``width``: the v5 array layout."""
+    return bytes(value >> 8 * plane & 0xFF for plane in range(width) for value in values)
+
+
+def _values(planes, count, width):
+    """The ``count`` values whose ``width`` byte planes are ``planes``."""
+    return [sum(planes[plane * count + i] << 8 * plane for plane in range(width))
+            for i in range(count)]
+
+
 def _read(path):
-    """(k1, b, the names and texts JSON, the four arrays, their widths) of a v4 file."""
+    """k1, b, the decompressed names and texts streams, the arrays and widths of a v5 file."""
     data = path.read_bytes()
     k1, b, *fields = HEADER.unpack_from(data, len(MAGIC) + 4)
     sizes, shape = fields[:3], fields[4:]
     ends = list(accumulate(sizes, initial=BODY))
     names, texts, raw = (zlib.decompress(data[start:end]) for start, end in zip(ends, ends[1:]))
     arrays, offset = [], 0
-    for count, width in zip(shape[:4], shape[4:]):
-        arrays.append(list(struct.unpack_from(f"<{count}{FORMATS[width]}", raw, offset)))
+    for count, width in zip(shape[:5], shape[5:]):
+        arrays.append(_values(raw[offset:offset + count * width], count, width))
         offset += count * width
-    return k1, b, (names, texts), arrays, shape[4:]
+    return k1, b, (names, texts), arrays, shape[5:]
 
 
 def _write(path, k1, b, strings, arrays, widths):
-    raw = b"".join(struct.pack(f"<{len(a)}{FORMATS[w]}", *a) for a, w in zip(arrays, widths))
+    raw = b"".join(map(_planes, arrays, widths))
     streams = [*map(zlib.compress, strings), zlib.compress(raw)]
-    path.write_bytes(MAGIC + struct.pack("<I", 4)
+    path.write_bytes(MAGIC + struct.pack("<I", 5)
                      + HEADER.pack(k1, b, *map(len, streams), zlib.crc32(streams[1]),
                                    *map(len, arrays), *widths)
                      + b"".join(streams))
 
 
-def test_saved_file_has_the_documented_v4_layout(tmp_path):
-    docs = [Document("d1", "cold"), Document("d2", "shark"), Document("d3", "shark warm shark"),
-            Document("d4", "shark")]
+def test_saved_file_has_the_documented_v5_layout(tmp_path):
+    # d1's dash is 3 UTF-8 bytes, and d4's 300 "!" make its text 305 bytes long, so the text
+    # lengths take 2 bytes; "!" and the dash are not tokens
+    docs = [Document("d1", "cold \u2014"), Document("d2", "shark"),
+            Document("d3", "shark warm shark"), Document("d4", "shark" + "!" * 300)]
     path = tmp_path / "toy.bin"
     build_index(docs, k1=1.5, b=0.25).save(str(path))
     data = path.read_bytes()
-    assert data[:12] == MAGIC + struct.pack("<I", 4)
+    assert data[:12] == MAGIC + struct.pack("<I", 5)
     k1, b, names_size, text_size, array_size, text_crc, *shape = HEADER.unpack_from(data, 12)
     assert (k1, b) == (1.5, 0.25)
     assert BODY + names_size + text_size + array_size == len(data)
-    names = json.dumps([["d1", "d2", "d3", "d4"], ["cold", "shark", "warm"]],
-                       separators=(",", ":")).encode()
-    assert data[BODY:BODY + names_size] == zlib.compress(names, 5)
-    texts = json.dumps([d.text for d in docs], separators=(",", ":")).encode()
+    assert data[BODY:BODY + names_size] == zlib.compress(b"d1\nd2\nd3\nd4\ncold\nshark\nwarm", 5)
+    texts = b"cold \xe2\x80\x94" + b"shark" + b"shark warm shark" + b"shark" + b"!" * 300
     text_stream = data[BODY + names_size:BODY + names_size + text_size]
     assert text_stream == zlib.compress(texts, 5)
     assert text_crc == zlib.crc32(text_stream)
-    arrays = [
-        [1, 1, 3, 1],  # doc_lens
-        [1, 3, 1],  # dfs of cold, shark, warm
+    arrays = bytes([
+        1, 1, 3, 1,  # doc_lens
+        1, 3, 1,  # dfs of cold, shark, warm
         # ordinals: cold 0; shark 1, 2, 3; warm 2 -- each list gap-coded on its own
-        [0, 1, 1, 1, 2],
-        [1, 1, 2, 1, 1],  # tfs
-    ]
-    assert shape == [4, 3, 5, 5, 1, 1, 1, 1]
-    assert data[BODY + names_size + text_size:] == zlib.compress(bytes(sum(arrays, [])), 6)
+        0, 1, 1, 1, 2,
+        1, 1, 2, 1, 1,  # tfs
+        # text byte lengths 8, 5, 16 and 305 = 0x131: the low bytes, then the high bytes
+        8, 5, 16, 0x31,
+        0, 0, 0, 0x01,
+    ])
+    assert shape == [4, 3, 5, 5, 4, 1, 1, 1, 1, 2]
+    assert data[BODY + names_size + text_size:] == zlib.compress(arrays, 5)
 
 
 def test_saved_arrays_take_the_narrowest_width(tmp_path):
-    # doc_lens 300 and 70001 need 4 bytes; tfs up to 70000 need 4; dfs and gaps fit in 1
+    # doc_lens 300 and 70001 need 4 bytes; tfs up to 70000 need 4, and so does the
+    # 350,005-byte text; dfs and gaps fit in 1
     docs = [Document("a", "shark " * 300), Document("b", "warm " * 70000 + "shark")]
     path = tmp_path / "wide.bin"
     build_index(docs).save(str(path))
     _k1, _b, _strings, arrays, widths = _read(path)
-    assert arrays == [[300, 70001], [2, 1], [0, 1, 1], [300, 1, 70000]]
-    assert widths == [4, 1, 1, 4]
+    assert arrays == [[300, 70001], [2, 1], [0, 1, 1], [300, 1, 70000], [1800, 350005]]
+    assert widths == [4, 1, 1, 4, 4]
     docs[1] = Document("b", "warm " * 600 + "shark")
     build_index(docs).save(str(path))
-    assert _read(path)[4] == [2, 1, 1, 2]
+    assert _read(path)[3:] == ([[300, 601], [2, 1], [0, 1, 1], [300, 1, 600], [1800, 3005]],
+                               [2, 1, 1, 2, 2])
+    build_index([Document("a", "shark"), Document("b", "warm shark")]).save(str(path))
+    assert _read(path)[3:] == ([[1, 2], [2, 1], [0, 1, 1], [1, 1, 1], [5, 10]], [1] * 5)
 
 
 @settings(max_examples=40, deadline=None)
+@example(texts=[""], k1=0.9, b=0.4, query=["d2"])
+@example(texts=["a\nb", "\x00", "x \U0001f600 y\n"], k1=0.9, b=0.4, query=["d2"])
 @given(
     texts=st.lists(st.text(max_size=40), min_size=1, max_size=12),
     k1=st.floats(min_value=0.0, max_value=3.0),
@@ -432,17 +459,27 @@ def _v1_file(path):
     path.write_bytes(MAGIC + struct.pack("<I", 1) + zlib.compress(body))
 
 
-def _v3_strings(strings):
+def _contents(path):
+    """k1, b, doc ids, terms, texts, the first four arrays and their widths of a v5 file."""
+    k1, b, (names, blob), arrays, widths = _read(path)
+    names = names.decode("utf-8").split("\n")
+    doc_ids, terms = names[:len(arrays[0])], names[len(arrays[0]):]
+    ends = list(accumulate(arrays[4]))
+    texts = [blob[start:end].decode("utf-8") for start, end in zip([0, *ends], ends)]
+    return k1, b, doc_ids, terms, texts, arrays[:4], widths[:4]
+
+
+def _v3_strings(doc_ids, terms, texts):
     """The v2 and v3 strings section ``[doc_ids, doc_texts, terms]``."""
-    (doc_ids, terms), texts = map(json.loads, strings)
     return json.dumps([doc_ids, texts, terms]).encode("utf-8")
 
 
 def _v2_file(path):
     # the same index in format version 2: one zlib stream of a <dd5Q header,
     # the strings section and u32 arrays
-    k1, b, strings, arrays, _widths = _read(path)
-    sections = [_v3_strings(strings)] + [struct.pack(f"<{len(a)}I", *a) for a in arrays]
+    k1, b, doc_ids, terms, texts, arrays, _widths = _contents(path)
+    sections = ([_v3_strings(doc_ids, terms, texts)]
+                + [struct.pack(f"<{len(a)}I", *a) for a in arrays])
     payload = struct.pack("<dd5Q", k1, b, *map(len, sections)) + b"".join(sections)
     path.write_bytes(MAGIC + struct.pack("<I", 2) + zlib.compress(payload))
 
@@ -450,12 +487,26 @@ def _v2_file(path):
 def _v3_file(path):
     # the same index in format version 3: a <dd2Q4Q4B header, then the
     # strings section and the arrays as two zlib streams
-    k1, b, strings, arrays, widths = _read(path)
+    k1, b, doc_ids, terms, texts, arrays, widths = _contents(path)
     raw = b"".join(struct.pack(f"<{len(a)}{FORMATS[w]}", *a) for a, w in zip(arrays, widths))
-    streams = [zlib.compress(_v3_strings(strings)), zlib.compress(raw)]
+    streams = [zlib.compress(_v3_strings(doc_ids, terms, texts)), zlib.compress(raw)]
     path.write_bytes(MAGIC + struct.pack("<I", 3)
                      + struct.pack("<dd2Q4Q4B", k1, b, *map(len, streams), *map(len, arrays),
                                    *widths)
+                     + b"".join(streams))
+
+
+def _v4_file(path):
+    # the same index in format version 4: a <dd3QI4Q4B header, then the names and the
+    # texts as JSON and the four arrays value by value, as three zlib streams
+    k1, b, doc_ids, terms, texts, arrays, widths = _contents(path)
+    raw = b"".join(struct.pack(f"<{len(a)}{FORMATS[w]}", *a) for a, w in zip(arrays, widths))
+    streams = [zlib.compress(json.dumps(value).encode("utf-8"))
+               for value in ([doc_ids, terms], texts)]
+    streams.append(zlib.compress(raw))
+    path.write_bytes(MAGIC + struct.pack("<I", 4)
+                     + struct.pack("<dd3QI4Q4B", k1, b, *map(len, streams),
+                                   zlib.crc32(streams[1]), *map(len, arrays), *widths)
                      + b"".join(streams))
 
 
@@ -504,7 +555,7 @@ def _strings(raw):
 def _width(width):
     def corrupt(path):
         data = bytearray(path.read_bytes())
-        data[BODY - 4] = width  # doc_lens' width, the first of the four
+        data[BODY - 5] = width  # doc_lens' width, the first of the five
         path.write_bytes(bytes(data))
     return corrupt
 
@@ -527,17 +578,21 @@ def _header_only_part(path):
     (_v1_file, "unsupported index format version 1"),
     (_v2_file, "unsupported index format version 2"),
     (_v3_file, "unsupported index format version 3"),
+    (_v4_file, "unsupported index format version 4"),
     (_stream_sizes_off_by_one, "do not sum"),
     (_texts_byte_flipped, "texts stream fails its crc32 check"),
     # same byte size, but sum(dfs) != number of postings
     (_edit_arrays(1, _bump(0, 1)), "section lengths disagree"),
-    (_strings(b'[["d1","d1","d3"],["cold","shark","warm"]]'), "duplicate document id"),
-    (_strings(b'[["d1","d2","d3"],["cold","warm","shark"]]'), "terms are not strictly ascending"),
-    (_strings(b'[["d1","d2","d3"],["cold","shark","shark"]]'),
-     "terms are not strictly ascending"),
+    # one text length fewer than there are documents
+    (_edit_arrays(4, list.pop), "section lengths disagree"),
+    (_strings(b"d1\nd1\nd3\ncold\nshark\nwarm"), "duplicate document id"),
+    (_strings(b"d1\nd2\nd3\ncold\nwarm\nshark"), "terms are not strictly ascending"),
+    (_strings(b"d1\nd2\nd3\ncold\nshark\nshark"), "terms are not strictly ascending"),
+    (_strings(b"d1\nd2\nd3\ncold\nshark\nwarm\nzebra"),
+     "names stream holds 7 names, not 3 document ids and 3 terms"),
     (_width(3), "array width 3 is not 1, 2 or 4"),
     (_width(8), "array width 8 is not 1, 2 or 4"),
-    (_strings(b"[[not json"), "corrupt index payload"),
+    (_strings(b"d1\nd2\xff\nd3\ncold\nshark\nwarm"), "codec can't decode byte 0xff"),
     (_header_only_part, "truncated header"),
     (_bm25_params(math.nan, 0.4), "k1 must be finite and >= 0, got nan"),
     (_bm25_params(math.inf, 0.4), "k1 must be finite and >= 0, got inf"),
@@ -545,9 +600,9 @@ def _header_only_part(path):
     (_bm25_params(0.9, math.nan), "b must be >= 0 and <= 1, got nan"),
     (_bm25_params(0.9, math.inf), "b must be >= 0 and <= 1, got inf"),
     (_bm25_params(0.9, 3.0), "b must be >= 0 and <= 1, got 3.0"),
-], ids=["v1", "v2", "v3", "sizes", "texts-crc32", "dfs", "duplicate-doc-id", "unsorted-terms",
-        "repeated-term", "width3", "width8", "strings", "header", "k1-nan", "k1-inf",
-        "k1-negative", "b-nan", "b-inf", "b-above-1"])
+], ids=["v1", "v2", "v3", "v4", "sizes", "texts-crc32", "dfs", "text-lens", "duplicate-doc-id",
+        "unsorted-terms", "repeated-term", "names-count", "width3", "width8", "strings", "header",
+        "k1-nan", "k1-inf", "k1-negative", "b-nan", "b-inf", "b-above-1"])
 def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys,
                                                    corrupt, message):
     path = tmp_path / "toy.bin"
@@ -774,18 +829,30 @@ def test_decoded_postings_left_by_earlier_queries_never_change_a_result(
         assert search(fresh) == expected  # now from the pairs the first search left
 
 
-def test_a_texts_stream_that_passes_its_crc32_but_is_not_json_fails_only_its_readers(
-        tmp_path, shark_index, capsys):
+def _one_byte_more(blob):
+    return blob + b"!"
+
+
+def _not_utf8(blob):
+    return blob[:-1] + b"\xff"  # the last text's last byte; the byte total is unchanged
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_one_byte_more, "text lengths sum to 25 bytes, not the texts stream's 26"),
+    (_not_utf8, "codec can't decode byte 0xff"),
+], ids=["byte-total", "not-utf8"])
+def test_a_texts_stream_that_passes_its_crc32_but_does_not_decode_fails_only_its_readers(
+        tmp_path, shark_index, capsys, damage, message):
     path, queries = tmp_path / "toy.bin", tmp_path / "queries.tsv"
     shark_index.save(str(path))
     search = ["search", "--index", str(path), "--query", "shark warm"]
     assert main(search) == 0
     hits = capsys.readouterr().out
-    k1, b, (names, _texts), arrays, widths = _read(path)
-    _write(path, k1, b, (names, b"[[not json"), arrays, widths)
+    k1, b, (names, texts), arrays, widths = _read(path)
+    _write(path, k1, b, (names, damage(texts)), arrays, widths)
 
     index = InvertedIndex.load(str(path))  # the crc32 matches, so load succeeds
-    with pytest.raises(DataFormatError, match="corrupt index payload"):
+    with pytest.raises(DataFormatError, match=message):
         index.doc_texts
     assert main(search) == 0
     assert capsys.readouterr().out == hits
@@ -798,5 +865,5 @@ def test_a_texts_stream_that_passes_its_crc32_but_is_not_json_fails_only_its_rea
         assert main(["run", "--method", method, "--queries", str(queries), "--index", str(path),
                      "--output", str(output), *extra]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "corrupt index payload" in err
+        assert err.startswith("data error:") and message in err
         assert not output.exists()
