@@ -184,6 +184,18 @@ def test_weighted_toy_oracle(shark_index):
         assert hit.score == pytest.approx(score, rel=1e-9)
 
 
+# at this weight every shark posting adds a term score that rounds to 0.0; the 3-document
+# corpus reaches two of three documents (a slot per document), the 31-document one one of 31
+# (a dict of candidates)
+@pytest.mark.parametrize("docs", [
+    [Document("a", "shark warm blood"), Document("b", "shark cold"), Document("c", "tuna fish")],
+    [Document("a", "shark " + "tuna " * 999)] + [Document(f"b{i:02d}", "cold") for i in range(30)],
+], ids=["most-documents", "few-documents"])
+def test_a_document_whose_score_rounds_to_zero_is_not_ranked(docs):
+    index = build_index(docs)
+    assert index.search_weighted(WeightedQuery({"shark": 5e-324}), 10) == []
+
+
 def test_weighted_query_validation():
     with pytest.raises(ValueError):
         WeightedQuery({})
@@ -206,9 +218,13 @@ def test_weighted_query_validation():
         max_size=20,
     ),
     query=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=8),
-    weights=st.dictionaries(st.sampled_from(TOKENS), st.floats(0.0, 10.0, allow_subnormal=False),
+    weights=st.dictionaries(st.sampled_from(TOKENS), st.floats(0.0, 10.0, allow_subnormal=True),
                             min_size=1),
 )
+# a query that reaches fewer postings than half the documents, and one that reaches more
+@example(token_lists=[["d2", "f3"], ["f3"], ["g5"]], query=["d2"], weights={"d2": 1.0})
+@example(token_lists=[TOKENS, ["d2", "f3"], []], query=TOKENS,
+         weights={token: 1.0 for token in TOKENS})
 def test_search_matches_bruteforce_oracle(token_lists, query, weights):
     docs = _docs_from_token_lists(token_lists)
     ids = [d.id for d in docs]
@@ -569,6 +585,11 @@ def _bm25_params(k1, b):
     return corrupt
 
 
+def _no_documents(path):
+    k1, b, _strings, _arrays, widths = _read(path)
+    _write(path, k1, b, (b"", b""), [[]] * 5, widths)
+
+
 def _header_only_part(path):
     path.write_bytes(path.read_bytes()[:BODY - 1])
 
@@ -593,6 +614,14 @@ def _header_only_part(path):
     (_width(3), "array width 3 is not 1, 2 or 4"),
     (_width(8), "array width 8 is not 1, 2 or 4"),
     (_strings(b"d1\nd2\xff\nd3\ncold\nshark\nwarm"), "codec can't decode byte 0xff"),
+    # an empty id, or one holding whitespace, splits into a count that does not add up
+    (_strings(b"a b\nd2\nd3\ncold\nshark\nwarm"),
+     "names stream holds 7 names, not 3 document ids and 3 terms"),
+    (_strings(b"\nd2\nd3\ncold\nshark\nwarm"),
+     "names stream holds 5 names, not 3 document ids and 3 terms"),
+    (_strings("a\u2028b\nd2\nd3\ncold\nshark\nwarm".encode("utf-8")),
+     "names stream holds 7 names, not 3 document ids and 3 terms"),
+    (_no_documents, "index holds no documents"),
     (_header_only_part, "truncated header"),
     (_bm25_params(math.nan, 0.4), "k1 must be finite and >= 0, got nan"),
     (_bm25_params(math.inf, 0.4), "k1 must be finite and >= 0, got inf"),
@@ -601,7 +630,8 @@ def _header_only_part(path):
     (_bm25_params(0.9, math.inf), "b must be >= 0 and <= 1, got inf"),
     (_bm25_params(0.9, 3.0), "b must be >= 0 and <= 1, got 3.0"),
 ], ids=["v1", "v2", "v3", "v4", "sizes", "texts-crc32", "dfs", "text-lens", "duplicate-doc-id",
-        "unsorted-terms", "repeated-term", "names-count", "width3", "width8", "strings", "header",
+        "unsorted-terms", "repeated-term", "names-count", "width3", "width8", "strings",
+        "id-with-space", "empty-id", "id-with-line-separator", "no-documents", "header",
         "k1-nan", "k1-inf", "k1-negative", "b-nan", "b-inf", "b-above-1"])
 def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys,
                                                    corrupt, message):
@@ -796,6 +826,39 @@ def test_concurrent_first_uses_of_a_term_all_get_the_same_hits(tmp_path):
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 8 and all(hits == expected for hits in seen)
         assert query(index) == expected
+
+
+def test_concurrent_long_and_short_queries_all_get_the_same_hits():
+    # shark and warm are in most documents and cold in one of ten, so the long query reaches
+    # more postings than there are documents and the short one fewer than half of them
+    docs = [Document(f"d{i:04d}", "shark " * (1 + i % 3) + "warm " * (i % 4)
+                     + ("cold" if i % 10 == 0 else "")) for i in range(3000)]
+    queries = ("shark warm cold cold", "cold")
+    reference = build_index(docs)
+    expected = {query: reference.search(query, 50) for query in queries}
+    index = build_index(docs)  # no list decoded yet
+    assert sum(map(index.df, ("shark", "warm", "cold"))) >= index.doc_count > 2 * index.df("cold")
+    start = threading.Barrier(8)
+    seen = []
+
+    def search(order):
+        start.wait(timeout=10)
+        seen.append({query: index.search(query, 50) for query in order})
+
+    # half the threads run the short query first, so both kinds race on cold's first use
+    threads = [threading.Thread(target=search, args=(queries[::1 - 2 * (i % 2)],))
+               for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 8 and all(hits == expected for hits in seen)
 
 
 @settings(max_examples=40, deadline=None)
