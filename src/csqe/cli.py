@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from . import evaluation, expansion, llm, prf
 from .corpus import is_single_field, parse_jsonl_corpus, parse_queries_tsv
 from .errors import BackendError, CsqeError, DataFormatError, UsageError
-from .index import DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index, check_bm25_params
+from .index import DEFAULT_B, DEFAULT_K1, InvertedIndex, Ranking, build_index, check_bm25_params
 
 log = logging.getLogger("csqe")
 
@@ -236,8 +236,8 @@ def cmd_search(args) -> int:
         raise UsageError("--topk must be >= 1")
     index = InvertedIndex.load(args.index)
     hits = index.search(args.query, args.topk)
-    for rank, hit in enumerate(hits, start=1):
-        print(f"{rank}\t{hit.doc_id}\t{hit.score:.6f}")
+    for rank, (doc_id, score) in enumerate(zip(hits.doc_ids, hits.scores), start=1):
+        print(f"{rank}\t{doc_id}\t{score:.6f}")
     return EXIT_OK
 
 
@@ -266,7 +266,7 @@ def _query_runner(method: str, config: dict, index: InvertedIndex):
                 return prf.rm3_search(index, query.text, rm3_cfg, topk), []
             except ValueError:
                 log.warning("query %s has no indexable terms; empty result", query.id)
-                return [], []
+                return Ranking([], []), []
         return rm3
 
     client = _build_llm_client(config)

@@ -11,14 +11,14 @@ One divergence: documents whose run-file scores tie keep their file order
 docno, descending. On a run with tied scores the two can report different
 values.
 
-Runs and qrels are plain dicts: a run maps query id -> ranked ``(doc id,
-score)`` list, the mapping ``write_trec_run`` takes and ``parse_trec_run``
-returns; qrels map query id -> doc id -> grade. Both parsers take a file
-opened ``"rb"``, split it into lines on ``"\\n"`` only and each line
-into fields on whitespace, so query ids, document ids and run tags contain
-no whitespace (``csqe`` refuses such ids in corpus and query files, and
-such a tag). A run score that is not a number, NaN included, is an error
-that names its line.
+Runs and qrels are plain dicts: a run maps query id -> ``Ranking`` (its doc
+ids and scores as two parallel lists, best first), the mapping
+``write_trec_run`` takes and ``parse_trec_run`` returns; qrels map query id ->
+doc id -> grade. Both parsers take a file opened ``"rb"``, split it into
+lines on ``"\\n"`` only and each line into fields on whitespace, so query
+ids, document ids and run tags contain no whitespace (``csqe`` refuses such
+ids in corpus and query files, and such a tag). A run score that is not a
+number, NaN included, is an error that names its line.
 """
 
 import json
@@ -26,11 +26,11 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 from typing import BinaryIO, Mapping, Optional, Sequence, Union
 
 from .corpus import _iter_lines
 from .errors import DataFormatError
+from .index import Ranking
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +77,7 @@ def _template_for(depth: int) -> str:
     return template[:ends[depth - 1]]
 
 
-def write_trec_run(rankings: Mapping[str, Sequence[tuple[str, float]]], tag: str = "run") -> str:
+def write_trec_run(rankings: Mapping[str, Ranking], tag: str = "run") -> str:
     """Render rankings as ``qid Q0 docid rank score tag`` lines.
 
     Each query's ranking is rendered by one ``%`` on a template with the ranks
@@ -87,16 +87,18 @@ def write_trec_run(rankings: Mapping[str, Sequence[tuple[str, float]]], tag: str
     """
     tail = f" {tag}\n"
     blocks = []
-    for qid, hits in rankings.items():
-        if not hits:
+    for qid, ranking in rankings.items():
+        depth = len(ranking.doc_ids)
+        if not depth:
             continue
-        args = [qid, None, None, tail] * len(hits)
-        args[1::4], args[2::4] = zip(*hits)
-        blocks.append(_template_for(len(hits)) % tuple(args))
+        args = [qid, None, None, tail] * depth
+        args[1::4] = ranking.doc_ids
+        args[2::4] = ranking.scores
+        blocks.append(_template_for(depth) % tuple(args))
     return "".join(blocks)
 
 
-def parse_trec_run(stream: BinaryIO) -> dict[str, list[tuple[str, float]]]:
+def parse_trec_run(stream: BinaryIO) -> dict[str, Ranking]:
     """Parse a TREC run file, re-sorting each query by score descending.
 
     The sort is stable so documents whose printed scores collide keep their
@@ -125,9 +127,14 @@ def parse_trec_run(stream: BinaryIO) -> dict[str, list[tuple[str, float]]]:
         # float() made a new object, so getting any other one back means docid was there
         if docs.setdefault(docid, score) is not score:
             raise DataFormatError(f"run line {lineno}: duplicate doc '{docid}' for query '{qid}'")
-    # each query's dict is dropped as its sorted list is built: the two are never both whole
-    return {qid: sorted(by_query.pop(qid).items(), key=itemgetter(1), reverse=True)
-            for qid in list(by_query)}
+    # each query's dict is dropped as its ranking is built, so at most one query is held twice
+    return {qid: _ranked(by_query.pop(qid)) for qid in list(by_query)}
+
+
+def _ranked(scores: dict[str, float]) -> Ranking:
+    """The documents of ``scores`` by score descending; a stable sort, so ties keep their order."""
+    doc_ids = sorted(scores, key=scores.__getitem__, reverse=True)
+    return Ranking(doc_ids, list(map(scores.__getitem__, doc_ids)))
 
 
 # -- metrics ---------------------------------------------------------------
@@ -244,7 +251,7 @@ class MetricReport:
 
 
 def evaluate_run(
-    run: Mapping[str, Sequence[tuple[str, float]]],
+    run: Mapping[str, Ranking],
     qrels: Mapping[str, Mapping[str, int]],
     metric_specs: Sequence[Union[str, MetricSpec]],
     rel_threshold: int = DEFAULT_REL_THRESHOLD,
@@ -265,7 +272,7 @@ def evaluate_run(
             log.warning("query %s has no qrels entry; skipped", qid)
             skipped.append(qid)
             continue
-        ranking = [docid for docid, _score in run[qid]]
+        ranking = run[qid].doc_ids
         for spec in specs:
             if spec.kind == "map":
                 value = average_precision(ranking, judged, rel_threshold)

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Query, truncate_whitespace_tokens
-from .index import InvertedIndex, ScoredHit
+from .index import InvertedIndex, Ranking
 from .llm import DEFAULT_TEMPERATURE, LlmClient, prompt_hash
 
 log = logging.getLogger(__name__)
@@ -306,7 +306,7 @@ def csqe_pipeline(
     llm: LlmClient,
     cfg: PipelineConfig,
     top_k: int = 1000,
-) -> tuple[list[ScoredHit], list[tuple[str, str, str, list[str]]]]:
+) -> tuple[Ranking, list[tuple[str, str, str, list[str]]]]:
     """Expand with extraction sentences plus KEQE passages, then retrieve.
 
     With ``cfg.n_csqe == 0`` this is KEQE: the first pass and the extraction
@@ -319,16 +319,16 @@ def csqe_pipeline(
     Returns the hits and the query's generations: one ``(query id, kind,
     prompt, responses)`` tuple per prompt sent, ``csqe`` before ``keqe``.
     """
-    first_pass: list[ScoredHit] = []
+    first_pass = Ranking([], [])
     requests = []  # (kind, prompt, n)
     if cfg.n_csqe > 0:
         first_pass = index.search(query.text, cfg.k_feedback)
         if first_pass:
             docs = [
                 truncate_whitespace_tokens(
-                    index.doc_texts[index.ordinal(hit.doc_id)], cfg.doc_token_budget
+                    index.doc_texts[index.ordinal(doc_id)], cfg.doc_token_budget
                 )
-                for hit in first_pass
+                for doc_id in first_pass.doc_ids
             ]
             requests.append(("csqe", build_csqe_prompt(query.text, docs), cfg.n_csqe))
         else:

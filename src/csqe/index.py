@@ -1,9 +1,10 @@
 """Inverted index over a document collection with Okapi BM25 ranking.
 
 Scoring uses idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)) and the usual
-tf saturation with length normalization; defaults k1=0.9, b=0.4. Result
-lists are ordered by score descending with ties broken by external doc id
-ascending, so rankings do not depend on corpus input order. That holds for
+tf saturation with length normalization; defaults k1=0.9, b=0.4. A search
+returns a ``Ranking``: the doc ids and the scores as two parallel lists,
+ordered by score descending with ties broken by external doc id ascending, so
+rankings do not depend on corpus input order. That holds for
 equal float scores. A document's score sums its terms' contributions in
 query term order, so two documents whose scores are equal in exact
 arithmetic can still differ in the last bit when their equal contributions
@@ -19,12 +20,13 @@ term ``i``'s list at ``offsets[i]:offsets[i + 1]``. ``gaps`` holds each list's
 document ordinals, ascending, gap-coded as in the file (the first entry is the
 ordinal itself, each later one the distance to the one before), and a loaded
 index keeps both arrays at the width the file stored. On a term's first use a
-search decodes its ordinals and computes each posting's impact, the part of
-its BM25 term score that no query changes,
+search decodes its ordinals and computes the term's idf and each posting's
+impact, the part of its BM25 term score that no query changes,
 ``c = tf * (k1 + 1) / (tf + k1 * (1 - b + b * len / avglen))``, and keeps the
-pair for later searches: a query decodes only the lists it reads, and a term
-of weight ``w`` adds ``w * idf * c`` to each of its documents, one multiply
-per posting. The pair costs 12 bytes per decoded posting.
+``(idf, ordinals, impacts)`` triple for later searches: a query decodes only
+the lists it reads, and a term of weight ``w`` adds ``w * idf * c`` to each of
+its documents, one multiply per posting. The arrays cost 12 bytes per decoded
+posting.
 
 A search first decodes every list it reads and sums their lengths ``P``;
 nothing is scored before each of them has passed its first-use checks. The
@@ -76,7 +78,7 @@ there is a document, that the array widths and lengths agree, and that the
 document ids are distinct and the terms strictly ascending, and raises
 ``DataFormatError`` otherwise. A postings list that names a document twice,
 or one that does not exist, raises ``DataFormatError`` from the first search
-that reads it, before its pair is kept, so it is never scored and every later
+that reads it, before its triple is kept, so it is never scored and every later
 search of the term raises again: a search reads a few hundred of the lists,
 and checking all of them was about half of a load. A texts stream that passes its crc32 but whose text lengths
 do not add up to its size, or whose texts are not UTF-8, raises
@@ -94,12 +96,13 @@ import uuid
 import zlib
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress
 from operator import lt, sub
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 from .corpus import Document, is_single_field, tokenize
 from .errors import DataFormatError
@@ -135,10 +138,47 @@ def check_bm25_params(k1: float, b: float) -> None:
 
 
 class ScoredHit(NamedTuple):
-    """One ranked document; unpacks as the ``(doc_id, score)`` pair a run file takes."""
+    """One ranked document, as a ``Ranking`` yields it; unpacks as ``(doc_id, score)``."""
 
     doc_id: str
     score: float
+
+
+class Ranking(Sequence):
+    """Ranked documents as two parallel lists, ``doc_ids`` and ``scores``.
+
+    A read-only sequence of ``ScoredHit``s, each made when it is read; a slice
+    is a ``Ranking``. It equals another ``Ranking`` with equal lists, and any
+    other sequence of the same ``(doc_id, score)`` pairs, ``[]`` included.
+    Code that reads every hit reads the two lists instead.
+    """
+
+    __slots__ = ("doc_ids", "scores")
+
+    def __init__(self, doc_ids: list[str], scores: list[float]):
+        self.doc_ids = doc_ids
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Ranking(self.doc_ids[i], self.scores[i])
+        return ScoredHit(self.doc_ids[i], self.scores[i])
+
+    def __iter__(self):
+        return map(ScoredHit, self.doc_ids, self.scores)
+
+    def __eq__(self, other):
+        if isinstance(other, Ranking):
+            return self.doc_ids == other.doc_ids and self.scores == other.scores
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return list(zip(self.doc_ids, self.scores)) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Ranking({self.doc_ids!r}, {self.scores!r})"
 
 
 @dataclass(frozen=True)
@@ -183,9 +223,9 @@ class InvertedIndex:
         self.offsets = offsets
         self.gaps = gaps
         self.tfs = tfs
-        # each slot's (ordinals, impacts) pair, filled on the term's first use by _rank; the
-        # impacts are 8 bytes per decoded posting on top of the ordinals' 4
-        self._postings: list[tuple[array, array] | None] = [None] * len(terms)
+        # each slot's (idf, ordinals, impacts) triple, filled on the term's first use by
+        # _rank; the impacts are 8 bytes per decoded posting on top of the ordinals' 4
+        self._postings: list[tuple[float, array, array] | None] = [None] * len(terms)
         self.doc_ids = doc_ids
         self.doc_lens = doc_lens
         self._texts = doc_texts
@@ -231,11 +271,11 @@ class InvertedIndex:
 
     # -- scoring ------------------------------------------------------------
 
-    def _rank(self, term_weights: Mapping[str, float], k: int) -> list[ScoredHit]:
+    def _rank(self, term_weights: Mapping[str, float], k: int) -> Ranking:
         knorm = self._knorm
         decoded = self._postings
         k1p1 = self.k1 + 1.0
-        lists: list[tuple[float, tuple[array, array]]] = []
+        lists: list[tuple[float, array, array]] = []
         reached = 0  # postings the query reads
         for term, weight in term_weights.items():
             if weight == 0.0:
@@ -246,8 +286,8 @@ class InvertedIndex:
             start, end = self.offsets[slot], self.offsets[slot + 1]
             postings = decoded[slot]
             if postings is None:
-                # threads racing on a term's first use each build an equal pair, and a
-                # list item store is atomic, so every reader sees a whole pair: no lock
+                # threads racing on a term's first use each build an equal triple, and a
+                # list item store is atomic, so every reader sees a whole triple: no lock
                 gaps = self.gaps[start:end]
                 # the sum is checked before the u32 array is built, which it could overflow
                 problem = ("duplicate ordinal in a postings list" if 0 in gaps[1:]
@@ -258,14 +298,15 @@ class InvertedIndex:
                 ordinals = array(_U32, accumulate(gaps))
                 impacts = array("d", [tf * k1p1 / (tf + knorm[o])
                                       for o, tf in zip(ordinals, self.tfs[start:end])])
-                postings = decoded[slot] = ordinals, impacts
+                postings = decoded[slot] = self._idf(end - start), ordinals, impacts
+            idf, ordinals, impacts = postings
             # weight * idf * c is the term's weighted BM25 score in document o
-            lists.append((weight * self._idf(end - start), postings))
+            lists.append((weight * idf, ordinals, impacts))
             reached += end - start
         if 2 * reached >= self.doc_count:
             # most documents are candidates: a slot per document, taken in doc-id order
             acc = [0.0] * self.doc_count
-            for wi, (ordinals, impacts) in lists:
+            for wi, ordinals, impacts in lists:
                 for o, c in zip(ordinals, impacts):
                     acc[o] += wi * c
             score = acc.__getitem__
@@ -273,7 +314,7 @@ class InvertedIndex:
         else:
             scores: dict[int, float] = {}
             get = scores.get
-            for wi, (ordinals, impacts) in lists:
+            for wi, ordinals, impacts in lists:
                 for o, c in zip(ordinals, impacts):
                     scores[o] = get(o, 0.0) + wi * c
             score = scores.__getitem__
@@ -285,20 +326,18 @@ class InvertedIndex:
         # last, and are not ranked (compress never takes one from the slots)
         while top and not score(top[-1]):
             top.pop()
-        # tuple.__new__ is ScoredHit._make without a Python call per hit
-        return list(map(tuple.__new__, repeat(ScoredHit),
-                        zip(map(self.doc_ids.__getitem__, top), map(score, top))))
+        return Ranking(list(map(self.doc_ids.__getitem__, top)), list(map(score, top)))
 
-    def search(self, query_text: str, k: int) -> list[ScoredHit]:
+    def search(self, query_text: str, k: int) -> Ranking:
         """Top-k BM25 search. Duplicate query tokens act as integer weights."""
         if k < 1:
             raise ValueError("k must be >= 1")
         tokens = tokenize(query_text)
         if not tokens:
-            return []
+            return Ranking([], [])
         return self._rank(Counter(tokens), k)
 
-    def search_weighted(self, wq: WeightedQuery, k: int) -> list[ScoredHit]:
+    def search_weighted(self, wq: WeightedQuery, k: int) -> Ranking:
         """Top-k search where each term contributes weight times its BM25 term score."""
         if k < 1:
             raise ValueError("k must be >= 1")

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import STOPWORDS, tokenize
-from .index import InvertedIndex, ScoredHit, WeightedQuery
+from .index import InvertedIndex, Ranking, WeightedQuery
 
 DEFAULT_FB_DOCS = 10
 DEFAULT_FB_TERMS = 10
@@ -58,14 +58,14 @@ def rm3_expand(index: InvertedIndex, query_text: str, cfg: Rm3Config) -> Weighte
         return WeightedQuery(q_dist)
 
     # softmax-normalize the feedback scores
-    top = max(h.score for h in hits)
-    exps = [math.exp(h.score - top) for h in hits]
+    top = max(hits.scores)
+    exps = [math.exp(score - top) for score in hits.scores]
     z = sum(exps)
 
     feedback: dict[str, float] = {}
-    for hit, e in zip(hits, exps):
+    for doc_id, e in zip(hits.doc_ids, exps):
         doc_weight = e / z
-        tokens = tokenize(index.doc_texts[index.ordinal(hit.doc_id)])
+        tokens = tokenize(index.doc_texts[index.ordinal(doc_id)])
         if not tokens:
             continue
         length = len(tokens)
@@ -92,6 +92,6 @@ def rm3_expand(index: InvertedIndex, query_text: str, cfg: Rm3Config) -> Weighte
     return WeightedQuery(weights)
 
 
-def rm3_search(index: InvertedIndex, query_text: str, cfg: Rm3Config, k: int) -> list[ScoredHit]:
+def rm3_search(index: InvertedIndex, query_text: str, cfg: Rm3Config, k: int) -> Ranking:
     """First-pass BM25, RM3 expansion, then weighted re-retrieval."""
     return index.search_weighted(rm3_expand(index, query_text, cfg), k)

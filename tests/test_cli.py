@@ -267,6 +267,24 @@ def test_search_prints_ranked_hits(toy_index, capsys):
     assert rank == "1" and doc_id.startswith("tea") and float(score) > 0
 
 
+# sha256 of `csqe search --topk 1000` stdout on the toy index: "green tea" reaches 12
+# postings of the 50 documents and is scored in a dict, the battery query 27 and is
+# scored in a slot per document
+_TOY_SEARCH_SHA256 = {
+    "green tea": "f24dc4a5aaccf749bf335b1dda3dc7bfb1b85d211b4557c9607c815750dcae29",
+    "how does a lithium ion battery store and release energy":
+        "45a6d02930141cb8db208f1f769ec46dffceb408931f539de771ae81eff11256",
+}
+
+
+@pytest.mark.parametrize("query", sorted(_TOY_SEARCH_SHA256))
+def test_search_stdout_matches_pinned_digests(toy_index, capsys, query):
+    rc = main(["search", "--index", str(toy_index), "--query", query, "--topk", "1000"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _TOY_SEARCH_SHA256[query]
+
+
 # -- run + manifest -------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import csqe.corpus
 import csqe.evaluation
 from csqe.errors import DataFormatError
+from csqe.index import Ranking, ScoredHit
 from csqe.evaluation import (
     average_precision,
     evaluate_run,
@@ -237,8 +238,8 @@ def test_tail_permutation_below_k_does_not_change_cutoff_metrics(judged, seed, k
 
 def test_ndcg_depends_only_on_order_not_scores():
     # identical rankings expressed with different score scales
-    rankings = {"q1": [("a", 100.0), ("b", 10.0)]}
-    transformed = {"q1": [("a", 0.9), ("b", 0.8)]}
+    rankings = {"q1": Ranking(["a", "b"], [100.0, 10.0])}
+    transformed = {"q1": Ranking(["a", "b"], [0.9, 0.8])}
     qrels = {"q1": {"a": 1, "b": 1}}
     r1 = evaluate_run(rankings, qrels, ["ndcg_cut.10"])
     r2 = evaluate_run(transformed, qrels, ["ndcg_cut.10"])
@@ -249,12 +250,12 @@ def test_ndcg_depends_only_on_order_not_scores():
 
 
 def test_write_trec_run_format():
-    text = write_trec_run({"q1": [("d1", 2.5)]}, tag="csqe")
+    text = write_trec_run({"q1": Ranking(["d1"], [2.5])}, tag="csqe")
     assert text == "q1 Q0 d1 1 2.500000 csqe\n"
 
 
 def test_write_trec_run_ranks_sequentially():
-    text = write_trec_run({"q1": [("d1", 2.0), ("d9", 1.0), ("d2", 1.0)]})
+    text = write_trec_run({"q1": Ranking(["d1", "d9", "d2"], [2.0, 1.0, 1.0])})
     lines = text.splitlines()
     assert lines[0].split()[3] == "1"
     assert lines[1].split()[3] == "2"
@@ -276,7 +277,7 @@ def _rankings(draw):
         docids = draw(st.lists(_run_id, unique=True, min_size=1, max_size=8))
         scores = draw(st.lists(st.integers(-16, 16), min_size=len(docids),
                                max_size=len(docids)))
-        rankings[qid] = [(d, k / 64) for d, k in zip(docids, sorted(scores, reverse=True))]
+        rankings[qid] = Ranking(docids, [k / 64 for k in sorted(scores, reverse=True)])
     return rankings
 
 
@@ -297,6 +298,14 @@ def test_parse_run_resorts_by_score():
     assert [d for d, _ in parsed["q1"]] == ["high", "low"]
 
 
+def test_parse_run_returns_a_ranking_per_query():
+    parsed = parse_trec_run(_stream("q1 Q0 a 1 1.0 x\nq2 Q0 b 1 2.0 x\nq1 Q0 c 2 3.0 x\n"))
+    assert list(parsed) == ["q1", "q2"]
+    assert all(type(ranking) is Ranking for ranking in parsed.values())
+    assert parsed["q1"].doc_ids == ["c", "a"] and parsed["q1"].scores == [3.0, 1.0]
+    assert parsed["q2"][0] == ScoredHit("b", 2.0)
+
+
 
 def test_tied_scores_keep_file_order_unlike_trec_eval():
     # "a" and "b" tie; only "b" is relevant. File order a, b gives
@@ -314,7 +323,7 @@ def test_tied_scores_keep_file_order_unlike_trec_eval():
 
 
 def test_write_trec_run_prints_percent_and_braces_literally():
-    text = write_trec_run({"q%d{0}": [("d%s{}", 1.5)]}, tag="t%%{tag}")
+    text = write_trec_run({"q%d{0}": Ranking(["d%s{}"], [1.5])}, tag="t%%{tag}")
     assert text == "q%d{0} Q0 d%s{} 1 1.500000 t%%{tag}\n"
 
 
@@ -331,8 +340,8 @@ def _writer_rankings(draw):
     rankings = {}
     for qid in draw(st.lists(_writer_id, unique=True, min_size=1, max_size=5)):
         depth = draw(st.integers(0, 40))
-        rankings[qid] = draw(st.lists(st.tuples(_writer_id, _writer_score),
-                                      min_size=depth, max_size=depth))
+        rankings[qid] = Ranking(draw(st.lists(_writer_id, min_size=depth, max_size=depth)),
+                                draw(st.lists(_writer_score, min_size=depth, max_size=depth)))
     return rankings
 
 
@@ -347,7 +356,8 @@ def test_write_trec_run_matches_the_per_line_writer(rankings, tag):
 def test_write_trec_run_from_many_threads_at_once():
     # 8 threads write rankings of different depths while the shared template grows
     def ranking(thread, depth):
-        return {f"q%{thread}": [(f"d{{{i}}}", (depth - i) / 7) for i in range(depth)]}
+        return {f"q%{thread}": Ranking([f"d{{{i}}}" for i in range(depth)],
+                                       [(depth - i) / 7 for i in range(depth)])}
 
     barrier = threading.Barrier(8)
     mismatches = []
@@ -443,14 +453,14 @@ def test_one_pass_parser_matches_the_line_by_line_parser(lines, bad_line, bad_by
 
 def test_evaluate_ideal_run_is_all_ones():
     qrels = {"q1": {"a": 2, "b": 1}, "q2": {"c": 1}}
-    run = {"q1": [("a", 2.0), ("b", 1.0)], "q2": [("c", 1.0)]}
+    run = {"q1": Ranking(["a", "b"], [2.0, 1.0]), "q2": Ranking(["c"], [1.0])}
     report = evaluate_run(run, qrels, ["map", "ndcg_cut.10", "recall.1000"])
     assert all(value == pytest.approx(1.0) for value in report.macro.values())
 
 
 def test_evaluate_two_line_fixture():
     qrels = {"q1": {"d1": 1}}
-    run = {"q1": [("d2", 2.0), ("d1", 1.0)]}
+    run = {"q1": Ranking(["d2", "d1"], [2.0, 1.0])}
     report = evaluate_run(run, qrels, ["ndcg_cut.10", "map"])
     assert report.macro["ndcg_cut.10"] == pytest.approx(INV_LOG2_3, abs=1e-4)
     assert report.macro["map"] == pytest.approx(0.5)
@@ -458,7 +468,7 @@ def test_evaluate_two_line_fixture():
 
 def test_evaluate_macro_is_arithmetic_mean():
     qrels = {"q1": {"a": 1}, "q2": {"b": 1}}
-    run = {"q1": [("a", 1.0)], "q2": [("x", 2.0), ("b", 1.0)]}
+    run = {"q1": Ranking(["a"], [1.0]), "q2": Ranking(["x", "b"], [2.0, 1.0])}
     report = evaluate_run(run, qrels, ["map"])
     assert report.per_query["map"] == {"q1": 1.0, "q2": 0.5}
     assert report.macro["map"] == pytest.approx(0.75)
@@ -466,7 +476,7 @@ def test_evaluate_macro_is_arithmetic_mean():
 
 def test_evaluate_skips_unjudged_queries_with_warning(caplog):
     qrels = {"q1": {"a": 1}}
-    run = {"q1": [("a", 1.0)], "q9": [("a", 1.0)]}
+    run = {"q1": Ranking(["a"], [1.0]), "q9": Ranking(["a"], [1.0])}
     with caplog.at_level("WARNING"):
         report = evaluate_run(run, qrels, ["map"])
     assert report.skipped_queries == ["q9"]
@@ -484,7 +494,7 @@ def test_evaluate_empty_run_warns(caplog):
 
 def test_evaluate_excludes_all_zero_query_from_averages():
     qrels = {"q1": {"a": 1}, "q2": {"b": 0}}
-    run = {"q1": [("a", 1.0)], "q2": [("b", 1.0)]}
+    run = {"q1": Ranking(["a"], [1.0]), "q2": Ranking(["b"], [1.0])}
     report = evaluate_run(run, qrels, ["map", "ndcg_cut.10"])
     assert len(report.per_query["map"]) == 1
     assert report.macro["map"] == pytest.approx(1.0)
@@ -502,7 +512,7 @@ def test_metric_spec_parsing():
 
 def test_report_rendering():
     qrels = {"q1": {"a": 1}}
-    run = {"q1": [("a", 1.0)]}
+    run = {"q1": Ranking(["a"], [1.0])}
     report = evaluate_run(run, qrels, ["map", "ndcg_cut.10"])
     table = report.format_table()
     assert "map" in table and "ndcg_cut.10" in table and "1.0000" in table

@@ -24,7 +24,7 @@ from csqe.expansion import (
     verify_extraction,
     write_prompt_dump,
 )
-from csqe.index import InvertedIndex, build_index
+from csqe.index import InvertedIndex, Ranking, build_index
 from csqe.llm import GenerationCache, LlmClient, MockBackend, RemoteBackend, fixture_key
 
 from conftest import DATA_DIR
@@ -353,6 +353,7 @@ def test_keqe_pipeline_equals_manual_composition(pipeline_index, monkeypatch):
     composed = compose_expanded_query(query.text, passages)
     assert searched == [composed]  # n_csqe=0 runs no first pass
     manual = pipeline_index.search(composed, 10)
+    assert isinstance(hits, Ranking)
     assert hits == manual
 
 
@@ -410,6 +411,7 @@ def test_csqe_pipeline_composition_and_determinism(pipeline_index):
         ),
         10,
     )
+    assert isinstance(hits, Ranking)
     assert hits == manual
     again, _ = csqe_pipeline(query, pipeline_index, _client(fixtures), cfg, top_k=10)
     assert hits == again

@@ -18,7 +18,8 @@ import csqe.index
 from csqe.cli import main
 from csqe.corpus import Document
 from csqe.errors import DataFormatError
-from csqe.index import InvertedIndex, WeightedQuery, build_index
+from csqe.index import InvertedIndex, Ranking, ScoredHit, WeightedQuery, build_index
+from csqe.prf import Rm3Config, rm3_search
 
 from oracles import bm25_scores, bm25_weighted_scores, ranking_from_scores
 
@@ -205,6 +206,49 @@ def test_weighted_query_validation():
         WeightedQuery({"a": float("nan")})
     with pytest.raises(ValueError):
         WeightedQuery({"a": 0.0})
+
+
+# -- Ranking ----------------------------------------------------------------------
+
+
+def test_a_ranking_reads_as_a_sequence_of_scored_hits():
+    ranking = Ranking(["a", "b", "c"], [3.0, 2.0, 1.0])
+    assert len(ranking) == 3 and ranking and not Ranking([], [])
+    assert ranking[0] == ScoredHit("a", 3.0) and type(ranking[0]) is ScoredHit
+    assert (ranking[-1].doc_id, ranking[-1].score) == ("c", 1.0)
+    with pytest.raises(IndexError):
+        ranking[3]
+    assert ranking[1:] == Ranking(["b", "c"], [2.0, 1.0])
+    assert type(ranking[:0]) is Ranking and not ranking[:0]
+    assert ranking[::-1] == Ranking(["c", "b", "a"], [1.0, 2.0, 3.0])
+    hits = list(ranking)
+    assert all(type(hit) is ScoredHit for hit in hits)
+    assert [(hit.doc_id, hit.score) for hit in hits] == [("a", 3.0), ("b", 2.0), ("c", 1.0)]
+    assert [doc_id for doc_id, _ in ranking] == ranking.doc_ids == ["a", "b", "c"]
+    assert ranking.scores == [3.0, 2.0, 1.0]
+
+
+def test_a_ranking_equals_the_same_pairs_in_any_sequence():
+    ranking = Ranking(["a", "b"], [2.0, 1.0])
+    assert Ranking([], []) == [] and [] == Ranking([], []) and ranking != []
+    assert ranking == [("a", 2.0), ("b", 1.0)] == ranking
+    assert ranking == (("a", 2.0), ("b", 1.0))
+    assert ranking == [ScoredHit("a", 2.0), ScoredHit("b", 1.0)]
+    assert ranking == Ranking(["a", "b"], [2.0, 1.0])
+    assert ranking != [("b", 1.0), ("a", 2.0)]
+    assert ranking != [("a", 2.0), ("b", 1.5)]
+    assert ranking != Ranking(["a", "b"], [2.0, 0.5])
+    assert ranking != [("a", 2.0)] and ranking != "ab" and Ranking([], []) != ""
+    with pytest.raises(TypeError):
+        hash(ranking)
+
+
+def test_every_search_returns_a_ranking(shark_index):
+    searches = [shark_index.search("shark", 10), shark_index.search("the of and", 10),
+                shark_index.search_weighted(WeightedQuery({"shark": 1.0}), 10),
+                rm3_search(shark_index, "shark", Rm3Config(fb_docs=2, fb_terms=2), 10)]
+    assert all(type(hits) is Ranking for hits in searches)
+    assert searches[0].doc_ids == ["d1", "d2"] and searches[1] == []
 
 
 # -- properties -------------------------------------------------------------------
@@ -788,7 +832,8 @@ def test_a_one_term_search_on_a_loaded_index_decodes_one_list(tmp_path, shark_in
     assert hits == shark_index.search("shark", 10)
     assert index._postings[0] is None and index._postings[2] is None
     decoded = index._postings[1]
-    ordinals, impacts = decoded
+    idf, ordinals, impacts = decoded
+    assert idf == index._idf(2)
     assert ordinals == array("I", [0, 1])
     assert [hit.score for hit in hits] == [index._idf(2) * c for c in impacts]
     assert index.search("shark", 10) == hits
