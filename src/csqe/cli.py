@@ -217,11 +217,21 @@ def _build_llm_client(config: dict) -> llm.LlmClient:
     return llm.LlmClient(backend, cache=cache)
 
 
+def _refuse_outputs_among_inputs(outputs: list[str], inputs: dict) -> None:
+    """Refuse any of ``outputs`` that is one of the ``inputs`` (flag -> path or None):
+    writing it would replace that input."""
+    for output in filter(os.path.exists, outputs):
+        for flag, path in inputs.items():
+            if path and os.path.exists(path) and os.path.samefile(output, path):
+                raise UsageError(f"output {output} is the {flag} file")
+
+
 def cmd_index(args) -> int:
     try:
         check_bm25_params(args.k1, args.b)
     except ValueError as exc:
         raise UsageError(str(exc))
+    _refuse_outputs_among_inputs([args.output], {"--input": args.input})
     with open(args.input, "rb") as fh:
         docs = parse_jsonl_corpus(fh)
     index = build_index(docs, k1=args.k1, b=args.b)
@@ -297,6 +307,11 @@ def _map_ahead(pool: ThreadPoolExecutor, fn, items, ahead: int):
 
 def cmd_run(args) -> int:
     config = _resolve_run_config(args)
+    manifest_path = f"{args.output}.manifest.json"
+    _refuse_outputs_among_inputs([args.output, manifest_path], {
+        "--queries": args.queries, "--index": args.index, "--config": args.config,
+        "--mock-fixtures": config["mock_fixtures"],
+    })
     fixed_time = _source_date_epoch()
     with open(args.queries, "rb") as fh:
         queries = parse_queries_tsv(fh)
@@ -363,7 +378,6 @@ def cmd_run(args) -> int:
         # deterministic for unchanged inputs: SOURCE_DATE_EPOCH, else the newest input's mtime
         "timestamp": fixed_time or _utc_iso(max(int(os.stat(p).st_mtime) for p in input_paths)),
     }
-    manifest_path = f"{args.output}.manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

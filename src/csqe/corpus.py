@@ -17,10 +17,16 @@ the regex class ``[^\\W_]``. Lowercased ASCII text is split by one
 ``str.translate`` pass that turns every other character into a space, then
 ``str.split()``; that gives the same tokens as the regex, which splits any
 other text.
+
+``tokenize`` keeps each word's index term in one module-level memo, a dict
+of at most ``1 << 16`` words (a stopword's term is ``""``) that is cleared
+when it would outgrow that bound; a corpus repeats a small vocabulary many
+times over, so most words are read from it and only the others are stemmed.
 """
 
 import json
 import re
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from typing import BinaryIO, Iterator
@@ -34,6 +40,10 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_SEPARATORS = {c: c if chr(c).isalnum() else ord(" ") for c in range(128)}
 # Bytes per read of a corpus, queries, qrels or run file (see _iter_lines)
 _CHUNK_SIZE = 1 << 16
+# word -> index term ("" for a stopword); tokenize reads it, _term fills it
+_TERMS: dict[str, str] = {}
+_TERMS_LOCK = threading.Lock()  # held to check the bound, clear and store
+_MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,14 +75,30 @@ def tokenize(text: str) -> list[str]:
     (``str.isalnum()``, the regex ``[^\\W_]``), drops stopwords, and
     Porter-stems each surviving token. Empty input yields an empty list.
     ASCII text is split by the translate pass, into the tokens the regex
-    would give.
+    would give. Each word's term is read from the memo; a word it does not
+    hold is stemmed and stored.
     """
     text = text.lower()
     if text.isascii():
         words = text.translate(_ASCII_SEPARATORS).split()
     else:
         words = _TOKEN_RE.findall(text)
-    return [stem(tok) for tok in words if tok not in STOPWORDS]
+    try:
+        return list(filter(None, map(_TERMS.__getitem__, words)))
+    except KeyError:  # a word the memo does not hold
+        return list(filter(None, map(_term, words)))
+
+
+def _term(word: str) -> str:
+    """The index term of a lowercase ``word``, ``""`` for a stopword; a miss fills the memo."""
+    term = _TERMS.get(word)
+    if term is None:
+        term = "" if word in STOPWORDS else stem(word)
+        with _TERMS_LOCK:
+            if len(_TERMS) >= _MEMO_SIZE:
+                _TERMS.clear()
+            _TERMS[word] = term
+    return term
 
 
 def truncate_whitespace_tokens(text: str, max_tokens: int) -> str:

@@ -348,16 +348,23 @@ class InvertedIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        texts = [text.encode("utf-8") for text in self.doc_texts]
+        # each text is compressed as it is encoded, so neither the encoded texts nor
+        # their join is held; deflate's output does not depend on how its input is cut
+        packer, packed, text_lens = zlib.compressobj(_ZLIB_LEVEL), [], array(_U32)
+        for text in self.doc_texts:
+            raw = text.encode("utf-8")
+            text_lens.append(len(raw))
+            packed.append(packer.compress(raw))
+        packed.append(packer.flush())
         dfs = array(_U32, map(sub, self.offsets[1:], self.offsets))
-        arrays = [array(_U32, self.doc_lens), dfs, self.gaps, self.tfs,
-                  array(_U32, map(len, texts))]
+        arrays = [array(_U32, self.doc_lens), dfs, self.gaps, self.tfs, text_lens]
         widths, planes = zip(*map(_planes, arrays))
-        streams = [zlib.compress(raw, _ZLIB_LEVEL) for raw in (
-            "\n".join(chain(self.doc_ids, self.terms)).encode("utf-8"),
-            b"".join(texts),
-            b"".join(planes),
-        )]
+        streams = [
+            zlib.compress("\n".join(chain(self.doc_ids, self.terms)).encode("utf-8"),
+                          _ZLIB_LEVEL),
+            b"".join(packed),
+            zlib.compress(b"".join(planes), _ZLIB_LEVEL),
+        ]
         header = _HEADER.pack(self.k1, self.b, *map(len, streams), zlib.crc32(streams[1]),
                               *map(len, arrays), *widths)
         # unique per call: concurrent or nested saves to one path never share it
@@ -512,11 +519,17 @@ def build_index(
             else:
                 entry += (ordinal, tf)
     terms = sorted(flat)
-    gaps, tfs = array(_U32), array(_U32)
+    offsets = [0, *accumulate(len(flat[term]) >> 1 for term in terms)]
+    # each term's list goes into one array and out of the dict, so the lists and
+    # the array never both hold every posting
+    pairs = array(_U32)
     for term in terms:
-        entry = flat[term]
-        run = entry[0::2]
-        gaps.extend(map(sub, run, chain((0,), run)))
-        tfs.extend(entry[1::2])
-    offsets = [0, *accumulate(len(flat[term]) // 2 for term in terms)]
+        pairs.fromlist(flat.pop(term))
+    ordinals, tfs = pairs[0::2], pairs[1::2]
+    del pairs
+    # each ordinal's predecessor in its list, 0 for the first: their differences are the gaps
+    before = array(_U32, [0]) + ordinals[:-1]
+    for start in offsets[:-1]:
+        before[start] = 0
+    gaps = array(_U32, map(sub, ordinals, before))
     return InvertedIndex(terms, offsets, gaps, tfs, doc_ids, doc_lens, doc_texts, k1=k1, b=b)

@@ -7,14 +7,11 @@ two revisions carried by the maintained reference implementations:
 * step 2 gains ``logi -> log``, with the leading ``l`` counted as part of
   the stem for the measure test (so geo-/bio- stems behave like philo-).
 
-Words of length <= 2 are returned unchanged. ``stem`` is memoized per
-distinct word in a bounded LRU cache, since a corpus repeats a small
-vocabulary many times over.
+Words of length <= 2 are returned unchanged, and no non-empty word stems to
+``""``. ``stem`` is not memoized: ``corpus.tokenize`` keeps the bounded
+word -> term memo and calls ``stem`` only for a word the memo does not hold.
 """
 
-from functools import lru_cache
-
-_CACHE_SIZE = 1 << 16
 _VOWELS = frozenset("aeiou")
 
 
@@ -203,7 +200,6 @@ def _step5(w: str) -> str:
     return w
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def stem(word: str) -> str:
     """Stem a single lowercase word."""
     if len(word) <= 2:

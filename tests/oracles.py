@@ -8,6 +8,8 @@ raise; that parser returns a plain dict.
 
 import math
 from collections import Counter
+from itertools import accumulate
+from operator import sub
 from typing import BinaryIO, Iterator
 
 from csqe.errors import DataFormatError
@@ -42,6 +44,28 @@ def bm25_scores(doc_token_lists, query_tokens, k1=0.9, b=0.4):
             score += count * idf * (freq * (k1 + 1.0) / (freq + k1 * norm))
         scores.append(score)
     return scores
+
+
+def build_postings(token_lists):
+    """``(terms, offsets, gaps, tfs, doc_lens)`` of an index over documents with these tokens.
+
+    The dict-of-lists builder that ``csqe.index.build_index`` replaced: each
+    term's ``[ordinal, tf, ...]`` list is grown document by document, then
+    gap-coded and appended term by term in sorted order.
+    """
+    flat = {}
+    for ordinal, tokens in enumerate(token_lists):
+        for term, tf in Counter(tokens).items():
+            flat.setdefault(term, []).extend((ordinal, tf))
+    terms = sorted(flat)
+    gaps, tfs = [], []
+    for term in terms:
+        entry = flat[term]
+        run = entry[0::2]
+        gaps.extend(map(sub, run, [0, *run]))
+        tfs.extend(entry[1::2])
+    offsets = [0, *accumulate(len(flat[term]) // 2 for term in terms)]
+    return terms, offsets, gaps, tfs, [len(tokens) for tokens in token_lists]
 
 
 def bm25_weighted_scores(doc_token_lists, weights, k1=0.9, b=0.4):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -217,6 +218,48 @@ def test_index_of_the_toy_corpus_is_byte_identical_across_runs(tmp_path):
     for path in paths:
         assert main(["index", "--input", str(TOY_DIR / "corpus.jsonl"), "--output", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# sha256 of `csqe index` on the toy corpus: the index bytes are pinned, whatever builds them
+_TOY_INDEX_SHA256 = "5ddf27bf348aa97d94ee2e356f4fda5795901746144590df06b3e0332ef1019f"
+
+
+def test_index_of_the_toy_corpus_matches_the_pinned_digest(toy_index):
+    assert hashlib.sha256(toy_index.read_bytes()).hexdigest() == _TOY_INDEX_SHA256
+
+
+def test_index_refuses_an_output_that_is_its_input(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    shutil.copyfile(TOY_DIR / "corpus.jsonl", corpus)
+    (tmp_path / "sub").mkdir()
+    output = tmp_path / "sub" / ".." / "c.jsonl"  # another name for the same file
+    assert main(["index", "--input", str(corpus), "--output", str(output)]) == 1
+    assert capsys.readouterr().err == f"usage error: output {output} is the --input file\n"
+    assert corpus.read_bytes() == (TOY_DIR / "corpus.jsonl").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "sub"]
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+@pytest.mark.parametrize("flag", ["--queries", "--index", "--config", "--mock-fixtures"])
+def test_run_refuses_an_output_that_is_one_of_its_inputs(toy_index, tmp_path, capsys, flag,
+                                                         manifest):
+    inputs = {"--queries": tmp_path / "queries.tsv", "--index": tmp_path / "toy.bin",
+              "--config": tmp_path / "config.json", "--mock-fixtures": tmp_path / "fixtures.json"}
+    shutil.copyfile(TOY_DIR / "queries.tsv", inputs["--queries"])
+    shutil.copyfile(toy_index, inputs["--index"])
+    inputs["--config"].write_text('{"topk": 10}', encoding="utf-8")
+    shutil.copyfile(TOY_DIR / "fixtures.json", inputs["--mock-fixtures"])
+    if manifest:  # the input is where the run's manifest would go
+        inputs[flag] = inputs[flag].rename(tmp_path / "r.txt.manifest.json")
+    before = {path: path.read_bytes() for path in inputs.values()}
+    output = tmp_path / "r.txt" if manifest else inputs[flag]
+    argv = ["run", "--method", "csqe", "--output", str(output), "--backend", "mock"]
+    for name, path in inputs.items():
+        argv += [name, str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: output {inputs[flag]} is the {flag} file\n"
+    assert {path: path.read_bytes() for path in inputs.values()} == before
+    assert sorted(tmp_path.iterdir()) == sorted(inputs.values())  # no manifest, no tmp file
 
 
 @pytest.mark.parametrize("line, message", [
@@ -687,6 +730,30 @@ def test_run_with_cache_then_cache_subcommands(toy_index, tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
     assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
     assert GenerationCache(cache_dir).stats()["entries"] == 0
+
+
+def test_two_processes_sharing_one_cache_dir_write_the_pinned_run(toy_index, tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    outputs = [tmp_path / "a" / "csqe.txt", tmp_path / "b" / "csqe.txt"]
+    procs = []
+    for out in outputs:
+        out.parent.mkdir()
+        argv = _run_args("csqe", toy_index, out, "--cache-dir", str(cache_dir), *_mock_args())
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from csqe.cli import main; sys.exit(main(sys.argv[2:]))",
+             str(REPO_ROOT / "src"), *argv]))
+    try:
+        for proc in procs:  # started together, so both fill the cache at once
+            assert proc.wait(timeout=60) == 0
+    finally:
+        for proc in procs:
+            proc.kill()  # does nothing to a process that has exited
+    for out in outputs:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _TOY_RUN_SHA256["csqe"]
+    assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "entries\t10"  # as one run leaves
+    assert not list(tmp_path.rglob("*.tmp.*"))
 
 
 def test_keqe_run_reuses_the_keqe_samples_a_csqe_run_cached(toy_index, tmp_path):

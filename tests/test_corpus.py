@@ -88,7 +88,7 @@ def test_tokenize_output_shape(text):
 
 
 def _tokenize_uncached(text):
-    return [stem.__wrapped__(t) for t in _TOKEN_RE.findall(text.lower()) if t not in STOPWORDS]
+    return [stem(t) for t in _TOKEN_RE.findall(text.lower()) if t not in STOPWORDS]
 
 
 @settings(max_examples=300)
@@ -125,7 +125,7 @@ _words_and_text = st.lists(
 @given(st.lists(_words_and_text, min_size=1, max_size=6))
 def test_memoized_tokenize_matches_uncached_stemming_from_four_threads(texts):
     expected = [_tokenize_uncached(t) for t in texts]
-    stem.cache_clear()  # the threads race to fill the cache
+    csqe.corpus._TERMS.clear()  # the threads race to fill the memo
     barrier = threading.Barrier(4, timeout=5)
     results = [None] * 4
 
@@ -137,10 +137,12 @@ def test_memoized_tokenize_matches_uncached_stemming_from_four_threads(texts):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
+        # a bound of 4 words clears the memo many times while the threads read it
+        with mock.patch.object(csqe.corpus, "_MEMO_SIZE", 4):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
@@ -148,8 +150,33 @@ def test_memoized_tokenize_matches_uncached_stemming_from_four_threads(texts):
     assert [tokenize(t) for t in texts] == expected
 
 
-def test_stem_cache_is_bounded():
-    assert stem.cache_info().maxsize == 1 << 16
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_words_and_text, min_size=1, max_size=8))
+def test_tokenize_matches_the_definition_before_across_and_after_a_memo_clear(texts):
+    memo = csqe.corpus._TERMS
+    memo.clear()
+    sizes = []
+    with mock.patch.object(csqe.corpus, "_MEMO_SIZE", 3):
+        for text in texts * 2:  # the second round reads words the first stored or lost
+            assert tokenize(text) == _tokenize_uncached(text)
+            sizes.append(len(memo))
+    assert max(sizes) <= 3
+    assert [tokenize(t) for t in texts] == [_tokenize_uncached(t) for t in texts]
+
+
+def test_word_memo_stays_within_its_bound():
+    memo, bound = csqe.corpus._TERMS, csqe.corpus._MEMO_SIZE
+    assert bound == 1 << 16
+    memo.clear()
+    try:
+        words = [f"w{i}" for i in range(bound + 5000)]
+        for start in range(0, len(words), 8192):
+            chunk = words[start:start + 8192]
+            assert tokenize(" ".join(chunk)) == chunk  # no Porter rule changes "w<digits>"
+            assert len(memo) <= bound
+        assert memo.keys() == set(words[bound:])  # cleared once, at the bound
+    finally:
+        memo.clear()
 
 
 # -- truncate_whitespace_tokens ----------------------------------------------

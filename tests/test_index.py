@@ -16,12 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import csqe.index
 from csqe.cli import main
-from csqe.corpus import Document
+from csqe.corpus import Document, tokenize
 from csqe.errors import DataFormatError
 from csqe.index import InvertedIndex, Ranking, ScoredHit, WeightedQuery, build_index
 from csqe.prf import Rm3Config, rm3_search
 
-from oracles import bm25_scores, bm25_weighted_scores, ranking_from_scores
+from oracles import bm25_scores, bm25_weighted_scores, build_postings, ranking_from_scores
 
 # porter-stable, non-stopword alphabet for generated corpora
 TOKENS = ["d2", "f3", "g5", "h7", "j9", "k4", "m6", "n8"]
@@ -511,6 +511,33 @@ def test_save_load_round_trips_exactly(tmp_path_factory, texts, k1, b, query):
     assert (loaded.k1, loaded.b) == (index.k1, index.b)
     for text in [" ".join(query)] + texts[:3]:
         assert loaded.search(text, 10) == index.search(text, 10)
+
+
+_corpus_text = st.one_of(
+    st.just(""),
+    # repeated terms, a stopword, a plural that stems to its singular, and non-ASCII words
+    st.lists(st.sampled_from(["shark", "sharks", "warm", "the", "caf\u00e9", "\u0436\u0443\u043a",
+                              "x\U0001f600y", "d2"]), max_size=12).map(" ".join),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(docs=[("only", "shark shark warm")])
+@example(docs=[("b", ""), ("a", "caf\u00e9 shark caf\u00e9"), ("c", "")])
+@given(docs=st.lists(st.tuples(st.text("abcz09\u00e9", min_size=1, max_size=4), _corpus_text),
+                     min_size=1, max_size=10, unique_by=lambda doc: doc[0]))
+def test_build_and_save_match_the_per_term_reference_builder(tmp_path_factory, docs):
+    index = build_index([Document(doc_id, text) for doc_id, text in docs])
+    terms, offsets, gaps, tfs, doc_lens = build_postings([tokenize(text) for _, text in docs])
+    assert (index.terms, index.offsets, index.doc_lens) == (terms, offsets, doc_lens)
+    assert (index.gaps.tolist(), index.tfs.tolist()) == (gaps, tfs)
+    path = tmp_path_factory.mktemp("idx") / "index.bin"
+    index.save(str(path))
+    data = path.read_bytes()
+    names_size, texts_size = HEADER.unpack_from(data, len(MAGIC) + 4)[2:4]
+    texts_stream = data[BODY + names_size:BODY + names_size + texts_size]
+    assert texts_stream == zlib.compress(b"".join(text.encode("utf-8") for _, text in docs), 5)
 
 
 def _v1_file(path):

@@ -7,6 +7,7 @@ tokenizer's stemming stage.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from csqe.stemmer import stem
 
@@ -120,3 +121,10 @@ def test_output_is_lowercase_prefix_preserving():
         out = stem(word)
         assert out == out.lower()
         assert out  # never empties a word
+
+
+@given(st.one_of(st.text(min_size=1), st.text("abeilnostuyz", min_size=1, max_size=12),
+                 st.sampled_from(sorted(VECTORS))))
+def test_stem_never_returns_an_empty_term_for_a_non_empty_word(word):
+    # tokenize's memo stores a stopword as "", so a stem of "" would drop the word
+    assert stem(word)
