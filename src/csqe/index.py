@@ -14,12 +14,14 @@ d000315 and d000155, with tfs (1, 1, 3) and (3, 1, 1) on three query terms,
 print the same score and are ranked by how ``(x1 + y) + x3`` and ``(x3 + y)
 + x1`` round.
 
-In memory the postings are compressed sparse rows: the posting lists of the
-sorted terms laid end to end in two ``array``s, ``gaps`` and ``tfs``, with
-term ``i``'s list at ``offsets[i]:offsets[i + 1]``. ``gaps`` holds each list's
-document ordinals, ascending, gap-coded as in the file (the first entry is the
-ordinal itself, each later one the distance to the one before), and a loaded
-index keeps both arrays at the width the file stored. On a term's first use a
+Documents are numbered in doc-id order, whatever order the corpus lists them
+in: ordinal ``i`` is the ``i``-th smallest id. In memory the postings are
+compressed sparse rows: the posting lists of the sorted terms laid end to end
+in two ``array``s, ``gaps`` and ``tfs``, with term ``i``'s list at
+``offsets[i]:offsets[i + 1]``. ``gaps`` holds each list's document ordinals,
+ascending, gap-coded as in the file (the first entry is the ordinal itself,
+each later one the distance to the one before), and a loaded index keeps both
+arrays at the width the file stored. On a term's first use a
 search decodes its ordinals and computes the term's idf and each posting's
 impact, the part of its BM25 term score that no query changes,
 ``c = tf * (k1 + 1) / (tf + k1 * (1 - b + b * len / avglen))``, and keeps the
@@ -33,24 +35,24 @@ nothing is scored before each of them has passed its first-use checks. The
 scores then go to one of two accumulators, picked by how much of the
 collection the query reaches. When ``2 * P >= doc_count`` most documents are
 candidates: each gets a slot in a list of ``doc_count`` floats, and the
-candidates are read off that list in doc-id order, through the permutation of
-ordinals by doc id that the index keeps. Below that, a dict holds the scores
-of the documents reached, and its keys are sorted into doc-id order. A stable
-sort by score follows, so ties stay in doc-id order. Either way only
-documents with a positive score are ranked: one whose contributions all round
-to 0.0 is left out, like one that no term reaches. Both accumulators add a
+candidates are read off that list in ordinal order. Below that, a dict holds
+the scores of the documents reached, and its keys are sorted. A stable sort by
+score follows, so ties stay in ordinal order, which is doc-id order. Either
+way only documents with a positive score are ranked: one whose contributions
+all round to 0.0 is left out, like one that no term reaches. Both accumulators add a
 document's contributions in query term order, so they give bit-identical
 scores. CSQE's composed query reaches 4.5-11 postings per document of the
 benchmark corpora and RM3's weighted query 1.1-4.3, so both take the list; a
 first pass reaches under 0.04 and takes the dict.
 
-On-disk layout (format version 5): the 8-byte magic ``CSQEIDX1``, the
-version as a little-endian u32, a header ``<dd3QI5Q5B`` (k1, b, the byte size
+On-disk layout (format version 6): the 8-byte magic ``CSQEIDX1``, the
+version as a little-endian u32, a header ``<dd3QI5Q5BI`` (k1, b, the byte size
 of each of the three zlib streams that follow, the crc32 of the second
-stream as stored, then the count and the byte width of each of the five
-arrays below), and the three streams, each at zlib level 5:
+stream as stored, the count and the byte width of each of the five arrays
+below, then the crc32 of every byte before it, magic and version included),
+and the three streams, each at zlib level 5:
 
-1. the document ids, then the sorted terms, as UTF-8 joined with ``"\n"``;
+1. the document ids, then the terms, each sorted, as UTF-8 joined with ``"\n"``;
    a document id is never empty and holds no whitespace, and neither does a
    term, so the names split back at whitespace and the first ``doc_count`` of
    them are the ids;
@@ -70,21 +72,22 @@ Only RM3 and CSQE read document texts, so ``load`` keeps the texts stream
 compressed and ``doc_texts`` decodes it on its first read, once per index:
 a bm25 run or ``csqe search`` never decompresses a text.
 
-``load`` checks that k1 and b pass ``check_bm25_params``, that the stream
-sizes add up to the file, that the texts stream matches its crc32, that the
-names stream is UTF-8 and splits at whitespace into one name per document
-and term (a name that is empty or holds whitespace breaks the count), that
-there is a document, that the array widths and lengths agree, and that the
-document ids are distinct and the terms strictly ascending, and raises
-``DataFormatError`` otherwise. A postings list that names a document twice,
-or one that does not exist, raises ``DataFormatError`` from the first search
-that reads it, before its triple is kept, so it is never scored and every later
-search of the term raises again: a search reads a few hundred of the lists,
-and checking all of them was about half of a load. A texts stream that passes its crc32 but whose text lengths
-do not add up to its size, or whose texts are not UTF-8, raises
-``DataFormatError`` from the first read of ``doc_texts``. Files of earlier
-format versions, 4 included, are refused with ``unsupported index format
-version <n>``.
+``load`` checks that the header matches its crc32, that k1 and b pass
+``check_bm25_params``, that the stream sizes add up to the file, that the
+texts stream matches its crc32, that the names stream is UTF-8 and splits at
+whitespace into one name per document and term (a name that is empty or holds
+whitespace breaks the count), that there is a document, that the array widths
+and lengths agree, and that the document ids and the terms are each strictly
+ascending, and raises ``DataFormatError`` otherwise. A postings list that
+names a document twice, or one that does not exist, raises
+``DataFormatError`` from the first search that reads it, before its triple is
+kept, so it is never scored and every later search of the term raises again:
+a search reads a few hundred of the lists, and checking all of them was about
+half of a load. A texts stream that passes
+its crc32 but whose text lengths do not add up to its size, or whose texts are
+not UTF-8, raises ``DataFormatError`` from the first read of ``doc_texts``.
+Files of earlier format versions, 5 included (its ids may be out of order),
+are refused with ``unsupported index format version <n>``.
 """
 
 import math
@@ -101,7 +104,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress
-from operator import lt, sub
+from operator import attrgetter, lt, sub
 from typing import Callable, Mapping, NamedTuple
 
 from .corpus import Document, is_single_field, tokenize
@@ -111,9 +114,9 @@ DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 
 _MAGIC = b"CSQEIDX1"
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 # k1, b, byte size of each zlib stream, crc32 of the texts stream, count of each array,
-# byte width of each array
+# byte width of each array; a u32 crc32 of the magic, the version and these fields follows
 _HEADER = struct.Struct("<dd3QI5Q5B")
 _TYPECODES = {array(code).itemsize: code for code in "LIHB"}  # byte width -> typecode
 _U32 = _TYPECODES[4]
@@ -148,9 +151,8 @@ class Ranking(Sequence):
     """Ranked documents as two parallel lists, ``doc_ids`` and ``scores``.
 
     A read-only sequence of ``ScoredHit``s, each made when it is read; a slice
-    is a ``Ranking``. It equals another ``Ranking`` with equal lists, and any
-    other sequence of the same ``(doc_id, score)`` pairs, ``[]`` included.
-    Code that reads every hit reads the two lists instead.
+    is a ``Ranking``. It equals another ``Ranking`` with equal lists. Code that
+    reads every hit reads the two lists instead.
     """
 
     __slots__ = ("doc_ids", "scores")
@@ -173,8 +175,6 @@ class Ranking(Sequence):
     def __eq__(self, other):
         if isinstance(other, Ranking):
             return self.doc_ids == other.doc_ids and self.scores == other.scores
-        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
-            return list(zip(self.doc_ids, self.scores)) == list(other)
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -240,11 +240,6 @@ class InvertedIndex:
         # k1 times the length norm of each document; avg is 0 only when every length is
         self._knorm = ([k1 * (1.0 - b + b * n / avg) for n in doc_lens] if avg
                        else [k1 * (1.0 - b)] * len(doc_lens))
-        # the ordinals in doc-id order, and each ordinal's place in it
-        self._by_id = sorted(range(self.doc_count), key=doc_ids.__getitem__)
-        self._id_rank = [0] * self.doc_count
-        for rank, ordinal in enumerate(self._by_id):
-            self._id_rank[ordinal] = rank
 
     @property
     def doc_texts(self) -> list[str]:
@@ -304,13 +299,13 @@ class InvertedIndex:
             lists.append((weight * idf, ordinals, impacts))
             reached += end - start
         if 2 * reached >= self.doc_count:
-            # most documents are candidates: a slot per document, taken in doc-id order
+            # most documents are candidates: a slot per document, taken in ordinal order
             acc = [0.0] * self.doc_count
             for wi, ordinals, impacts in lists:
                 for o, c in zip(ordinals, impacts):
                     acc[o] += wi * c
             score = acc.__getitem__
-            ranked = list(compress(self._by_id, map(score, self._by_id)))
+            ranked = list(compress(range(self.doc_count), acc))
         else:
             scores: dict[int, float] = {}
             get = scores.get
@@ -318,8 +313,8 @@ class InvertedIndex:
                 for o, c in zip(ordinals, impacts):
                     scores[o] = get(o, 0.0) + wi * c
             score = scores.__getitem__
-            ranked = sorted(scores, key=self._id_rank.__getitem__)
-        # candidates in doc-id order, then a stable sort by score: ties stay in doc-id order
+            ranked = sorted(scores)
+        # candidates in ordinal (doc-id) order, then a stable sort by score: ties keep it
         ranked.sort(key=score, reverse=True)
         top = ranked[:k]
         # no score is below 0.0, so documents whose contributions all rounded to 0.0 come
@@ -365,15 +360,14 @@ class InvertedIndex:
             b"".join(packed),
             zlib.compress(b"".join(planes), _ZLIB_LEVEL),
         ]
-        header = _HEADER.pack(self.k1, self.b, *map(len, streams), zlib.crc32(streams[1]),
-                              *map(len, arrays), *widths)
+        header = _MAGIC + struct.pack("<I", _FORMAT_VERSION) + _HEADER.pack(
+            self.k1, self.b, *map(len, streams), zlib.crc32(streams[1]), *map(len, arrays),
+            *widths)
         # unique per call: concurrent or nested saves to one path never share it
         tmp = f"{path}.tmp.{uuid.uuid4().hex}"
         try:
             with open(tmp, "xb") as fh:
-                fh.write(_MAGIC)
-                fh.write(struct.pack("<I", _FORMAT_VERSION))
-                fh.write(header)
+                fh.write(header + struct.pack("<I", zlib.crc32(header)))
                 fh.writelines(streams)
             os.replace(tmp, path)
         except BaseException:
@@ -384,15 +378,19 @@ class InvertedIndex:
     @classmethod
     def load(cls, path: str) -> "InvertedIndex":
         prefix = len(_MAGIC) + 4
+        end = prefix + _HEADER.size  # where the header's crc32 starts
         with open(path, "rb") as fh:
-            head = fh.read(prefix + _HEADER.size)
+            head = fh.read(end + 4)
             if len(head) < prefix or head[: len(_MAGIC)] != _MAGIC:
                 raise DataFormatError(f"{path}: not an index file (bad magic)")
             (version,) = struct.unpack_from("<I", head, len(_MAGIC))
             if version != _FORMAT_VERSION:
                 raise DataFormatError(f"{path}: unsupported index format version {version}")
-            if len(head) < prefix + _HEADER.size:
+            if len(head) < end + 4:
                 raise DataFormatError(f"{path}: corrupt index payload (truncated header)")
+            if struct.unpack_from("<I", head, end)[0] != zlib.crc32(head[:end]):
+                raise DataFormatError(f"{path}: corrupt index payload (header fails its crc32 "
+                                      "check)")
             k1, b, *fields = _HEADER.unpack_from(head, prefix)
             sizes, texts_crc, shape = fields[:3], fields[3], fields[4:]
             body = os.fstat(fh.fileno()).st_size - len(head)
@@ -418,10 +416,9 @@ class InvertedIndex:
                 raise ValueError(f"names stream holds {len(names)} names, not "
                                  f"{doc_count} document ids and {len(dfs)} terms")
             doc_ids, terms = names[:doc_count], names[doc_count:]
-            if len(set(doc_ids)) != doc_count:
-                raise ValueError("duplicate document id")
-            if not all(map(lt, terms, terms[1:])):
-                raise ValueError("terms are not strictly ascending")
+            for what, sorted_names in (("document ids", doc_ids), ("terms", terms)):
+                if not all(map(lt, sorted_names, sorted_names[1:])):
+                    raise ValueError(f"{what} are not strictly ascending")
             if not (sum(dfs) == len(gaps) == len(tfs) and len(text_lens) == doc_count):
                 raise ValueError("section lengths disagree")
         except (zlib.error, ValueError) as exc:
@@ -487,7 +484,7 @@ def build_index(
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> InvertedIndex:
-    """Tokenize and index a document collection.
+    """Tokenize and index a document collection, numbering it in doc-id order.
 
     Raises:
         ValueError: on a k1 or b that ``check_bm25_params`` refuses.
@@ -498,20 +495,20 @@ def build_index(
     if not docs:
         raise DataFormatError("cannot build an index over an empty collection")
     seen: set[str] = set()
-    flat: dict[str, list[int]] = {}  # term -> [ordinal, tf, ordinal, tf, ...]
-    doc_ids: list[str] = []
-    doc_lens: list[int] = []
-    doc_texts: list[str] = []
-    for ordinal, doc in enumerate(docs):
+    for doc in docs:
         if not is_single_field(doc.id):
             raise DataFormatError(f"document id {doc.id!r} is empty or contains whitespace")
         if doc.id in seen:
             raise DataFormatError(f"duplicate document id '{doc.id}'")
         seen.add(doc.id)
-        tokens = tokenize(doc.text)
-        doc_ids.append(doc.id)
+    docs = sorted(docs, key=attrgetter("id"))
+    doc_ids = [doc.id for doc in docs]
+    doc_texts = [doc.text for doc in docs]
+    doc_lens: list[int] = []
+    flat: dict[str, list[int]] = {}  # term -> [ordinal, tf, ordinal, tf, ...]
+    for ordinal, text in enumerate(doc_texts):
+        tokens = tokenize(text)
         doc_lens.append(len(tokens))
-        doc_texts.append(doc.text)
         for term, tf in Counter(tokens).items():
             entry = flat.get(term)
             if entry is None:

@@ -221,7 +221,7 @@ def test_index_of_the_toy_corpus_is_byte_identical_across_runs(tmp_path):
 
 
 # sha256 of `csqe index` on the toy corpus: the index bytes are pinned, whatever builds them
-_TOY_INDEX_SHA256 = "5ddf27bf348aa97d94ee2e356f4fda5795901746144590df06b3e0332ef1019f"
+_TOY_INDEX_SHA256 = "fc62ca47af402767b3a89d1491663cd532213a476a060aa8d431a66ab4485132"
 
 
 def test_index_of_the_toy_corpus_matches_the_pinned_digest(toy_index):

@@ -420,7 +420,7 @@ _bad_line = _line(_fields(scores=st.sampled_from(["x", "1.0.0", "0x1"]))
 
 def _outcome(parse, source):
     try:
-        return "ok", list(parse(source).items())
+        return "ok", [(qid, list(ranking)) for qid, ranking in parse(source).items()]
     except DataFormatError as exc:
         return "error", str(exc)
 

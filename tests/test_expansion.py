@@ -447,7 +447,7 @@ def test_csqe_pipeline_improves_relevant_rank(pipeline_index):
 
 def test_csqe_pipeline_empty_first_pass_uses_keqe_only(pipeline_index):
     query = Query("q1", "zz9 qq8")  # indexable, matches nothing
-    assert pipeline_index.search(query.text, 5) == []
+    assert list(pipeline_index.search(query.text, 5)) == []
     keqe_prompt = build_keqe_prompt(query.text)
     fixtures = {
         fixture_key(keqe_prompt, 0): "penguin huddle heat",

@@ -62,6 +62,12 @@ def test_build_index_rejects_duplicate_ids():
         build_index([Document("dup", "x1"), Document("dup", "x2")])
 
 
+def test_build_index_names_the_first_bad_id_in_corpus_order():
+    # in doc-id order "a b" would come first; the ids are checked before they are sorted
+    with pytest.raises(DataFormatError, match="duplicate document id 'z'"):
+        build_index([Document("z", "x1"), Document("z", "x2"), Document("a b", "x3")])
+
+
 @pytest.mark.parametrize("doc_id", ["a b", "a\nb", "a\tb", "a\u2028b", ""])
 def test_build_index_refuses_an_id_that_is_empty_or_holds_whitespace(doc_id):
     # ids are fields of run file lines, and the index file separates them with "\n"
@@ -131,7 +137,7 @@ def test_search_toy_ranking(shark_index):
 
 
 def test_search_stopword_query_is_empty(shark_index):
-    assert shark_index.search("the of and", 10) == []
+    assert shark_index.search("the of and", 10) == Ranking([], [])
 
 
 def test_search_tie_broken_by_doc_id():
@@ -194,7 +200,7 @@ def test_weighted_toy_oracle(shark_index):
 ], ids=["most-documents", "few-documents"])
 def test_a_document_whose_score_rounds_to_zero_is_not_ranked(docs):
     index = build_index(docs)
-    assert index.search_weighted(WeightedQuery({"shark": 5e-324}), 10) == []
+    assert index.search_weighted(WeightedQuery({"shark": 5e-324}), 10) == Ranking([], [])
 
 
 def test_weighted_query_validation():
@@ -226,19 +232,9 @@ def test_a_ranking_reads_as_a_sequence_of_scored_hits():
     assert [(hit.doc_id, hit.score) for hit in hits] == [("a", 3.0), ("b", 2.0), ("c", 1.0)]
     assert [doc_id for doc_id, _ in ranking] == ranking.doc_ids == ["a", "b", "c"]
     assert ranking.scores == [3.0, 2.0, 1.0]
-
-
-def test_a_ranking_equals_the_same_pairs_in_any_sequence():
-    ranking = Ranking(["a", "b"], [2.0, 1.0])
-    assert Ranking([], []) == [] and [] == Ranking([], []) and ranking != []
-    assert ranking == [("a", 2.0), ("b", 1.0)] == ranking
-    assert ranking == (("a", 2.0), ("b", 1.0))
-    assert ranking == [ScoredHit("a", 2.0), ScoredHit("b", 1.0)]
-    assert ranking == Ranking(["a", "b"], [2.0, 1.0])
-    assert ranking != [("b", 1.0), ("a", 2.0)]
-    assert ranking != [("a", 2.0), ("b", 1.5)]
-    assert ranking != Ranking(["a", "b"], [2.0, 0.5])
-    assert ranking != [("a", 2.0)] and ranking != "ab" and Ranking([], []) != ""
+    # only a Ranking with equal lists is equal
+    assert ranking == Ranking(["a", "b", "c"], [3.0, 2.0, 1.0])
+    assert ranking != Ranking(["a", "b", "c"], [3.0, 2.0, 0.5]) and ranking != hits
     with pytest.raises(TypeError):
         hash(ranking)
 
@@ -248,7 +244,7 @@ def test_every_search_returns_a_ranking(shark_index):
                 shark_index.search_weighted(WeightedQuery({"shark": 1.0}), 10),
                 rm3_search(shark_index, "shark", Rm3Config(fb_docs=2, fb_terms=2), 10)]
     assert all(type(hits) is Ranking for hits in searches)
-    assert searches[0].doc_ids == ["d1", "d2"] and searches[1] == []
+    assert searches[0].doc_ids == ["d1", "d2"] and searches[1] == Ranking([], [])
 
 
 # -- properties -------------------------------------------------------------------
@@ -276,10 +272,10 @@ def test_search_matches_bruteforce_oracle(token_lists, query, weights):
     # hits unpack as (doc_id, score) and tuples compare their scores with ==, so the
     # ranking and every score's bits must agree
     hits = index.search(" ".join(query), len(docs))
-    assert hits == ranking_from_scores(ids, bm25_scores(token_lists, query))
+    assert list(hits) == ranking_from_scores(ids, bm25_scores(token_lists, query))
     if any(weights.values()):
         hits = index.search_weighted(WeightedQuery(weights), len(docs))
-        assert hits == ranking_from_scores(ids, bm25_weighted_scores(token_lists, weights))
+        assert list(hits) == ranking_from_scores(ids, bm25_weighted_scores(token_lists, weights))
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,13 +306,19 @@ def test_topk_is_prefix_of_larger_k(token_lists, query, k):
     query=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_ranking_invariant_to_corpus_order(token_lists, query, seed):
+def test_ranking_invariant_to_corpus_order(tmp_path_factory, token_lists, query, seed):
     docs = _docs_from_token_lists(token_lists)
     shuffled = docs[:]
     random.Random(seed).shuffle(shuffled)
-    hits_a = build_index(docs).search(" ".join(query), len(docs))
-    hits_b = build_index(shuffled).search(" ".join(query), len(docs))
+    index_a, index_b = build_index(docs), build_index(shuffled)
+    hits_a = index_a.search(" ".join(query), len(docs))
+    hits_b = index_b.search(" ".join(query), len(docs))
     assert hits_a == hits_b  # scores are bit-identical, not merely close
+    # both number the documents in id order, so they save the same file
+    path_a, path_b = (tmp_path_factory.mktemp("idx") / name for name in ("a.bin", "b.bin"))
+    index_a.save(str(path_a))
+    index_b.save(str(path_b))
+    assert path_a.read_bytes() == path_b.read_bytes()
 
 
 def test_search_and_oracle_agree_on_an_exact_tie():
@@ -398,14 +400,16 @@ def test_load_rejects_truncated_payload(tmp_path, shark_docs):
 
 # the documented on-disk layout, restated here so the tests pin it
 MAGIC = b"CSQEIDX1"
-# k1, b, stream sizes, crc32 of the texts stream, array counts, array widths
+# k1, b, stream sizes, crc32 of the texts stream, array counts, array widths; the crc32
+# of every byte before it follows at HEADER_CRC, and the streams at BODY
 HEADER = struct.Struct("<dd3QI5Q5B")
-BODY = len(MAGIC) + 4 + HEADER.size
+HEADER_CRC = len(MAGIC) + 4 + HEADER.size
+BODY = HEADER_CRC + 4
 FORMATS = {1: "B", 2: "H", 4: "I"}
 
 
 def _planes(values, width):
-    """Byte 0 of every value, then byte 1, up to ``width``: the v5 array layout."""
+    """Byte 0 of every value, then byte 1, up to ``width``: the v5 and v6 array layout."""
     return bytes(value >> 8 * plane & 0xFF for plane in range(width) for value in values)
 
 
@@ -416,7 +420,7 @@ def _values(planes, count, width):
 
 
 def _read(path):
-    """k1, b, the decompressed names and texts streams, the arrays and widths of a v5 file."""
+    """k1, b, the decompressed names and texts streams, the arrays and widths of a v6 file."""
     data = path.read_bytes()
     k1, b, *fields = HEADER.unpack_from(data, len(MAGIC) + 4)
     sizes, shape = fields[:3], fields[4:]
@@ -429,25 +433,31 @@ def _read(path):
     return k1, b, (names, texts), arrays, shape[5:]
 
 
+def _with_header_crc(data):
+    """``data`` with the crc32 of its header recomputed, so that a damaged field passes it."""
+    return data[:HEADER_CRC] + struct.pack("<I", zlib.crc32(data[:HEADER_CRC])) + data[BODY:]
+
+
 def _write(path, k1, b, strings, arrays, widths):
     raw = b"".join(map(_planes, arrays, widths))
     streams = [*map(zlib.compress, strings), zlib.compress(raw)]
-    path.write_bytes(MAGIC + struct.pack("<I", 5)
-                     + HEADER.pack(k1, b, *map(len, streams), zlib.crc32(streams[1]),
-                                   *map(len, arrays), *widths)
-                     + b"".join(streams))
+    header = MAGIC + struct.pack("<I", 6) + HEADER.pack(
+        k1, b, *map(len, streams), zlib.crc32(streams[1]), *map(len, arrays), *widths)
+    path.write_bytes(header + struct.pack("<I", zlib.crc32(header)) + b"".join(streams))
 
 
-def test_saved_file_has_the_documented_v5_layout(tmp_path):
+def test_saved_file_has_the_documented_v6_layout(tmp_path):
     # d1's dash is 3 UTF-8 bytes, and d4's 300 "!" make its text 305 bytes long, so the text
-    # lengths take 2 bytes; "!" and the dash are not tokens
-    docs = [Document("d1", "cold \u2014"), Document("d2", "shark"),
-            Document("d3", "shark warm shark"), Document("d4", "shark" + "!" * 300)]
+    # lengths take 2 bytes; "!" and the dash are not tokens. The corpus lists the documents
+    # out of order, and the file numbers them in doc-id order.
+    docs = [Document("d3", "shark warm shark"), Document("d1", "cold \u2014"),
+            Document("d4", "shark" + "!" * 300), Document("d2", "shark")]
     path = tmp_path / "toy.bin"
     build_index(docs, k1=1.5, b=0.25).save(str(path))
     data = path.read_bytes()
-    assert data[:12] == MAGIC + struct.pack("<I", 5)
+    assert data[:12] == MAGIC + struct.pack("<I", 6)
     k1, b, names_size, text_size, array_size, text_crc, *shape = HEADER.unpack_from(data, 12)
+    assert data[HEADER_CRC:BODY] == struct.pack("<I", zlib.crc32(data[:HEADER_CRC]))
     assert (k1, b) == (1.5, 0.25)
     assert BODY + names_size + text_size + array_size == len(data)
     assert data[BODY:BODY + names_size] == zlib.compress(b"d1\nd2\nd3\nd4\ncold\nshark\nwarm", 5)
@@ -529,7 +539,9 @@ _corpus_text = st.one_of(
                      min_size=1, max_size=10, unique_by=lambda doc: doc[0]))
 def test_build_and_save_match_the_per_term_reference_builder(tmp_path_factory, docs):
     index = build_index([Document(doc_id, text) for doc_id, text in docs])
+    docs = sorted(docs)  # the ids are distinct: ordinals number the documents in id order
     terms, offsets, gaps, tfs, doc_lens = build_postings([tokenize(text) for _, text in docs])
+    assert index.doc_ids == [doc_id for doc_id, _ in docs]
     assert (index.terms, index.offsets, index.doc_lens) == (terms, offsets, doc_lens)
     assert (index.gaps.tolist(), index.tfs.tolist()) == (gaps, tfs)
     path = tmp_path_factory.mktemp("idx") / "index.bin"
@@ -547,7 +559,7 @@ def _v1_file(path):
 
 
 def _contents(path):
-    """k1, b, doc ids, terms, texts, the first four arrays and their widths of a v5 file."""
+    """k1, b, doc ids, terms, texts, the first four arrays and their widths of a v6 file."""
     k1, b, (names, blob), arrays, widths = _read(path)
     names = names.decode("utf-8").split("\n")
     doc_ids, terms = names[:len(arrays[0])], names[len(arrays[0]):]
@@ -597,11 +609,26 @@ def _v4_file(path):
                      + b"".join(streams))
 
 
-def _stream_sizes_off_by_one(path):
+def _v5_file(path):
+    # the same index in format version 5: the v6 layout without the header's crc32
+    data = path.read_bytes()
+    path.write_bytes(MAGIC + struct.pack("<I", 5) + data[12:HEADER_CRC] + data[BODY:])
+
+
+def _header_fields(edit):
+    """Rewrite the header fields with ``edit``, then the header's crc32 to match them."""
+    def corrupt(path):
+        data = bytearray(path.read_bytes())
+        fields = list(HEADER.unpack_from(data, 12))
+        edit(fields)
+        HEADER.pack_into(data, 12, *fields)
+        path.write_bytes(_with_header_crc(bytes(data)))
+    return corrupt
+
+
+def _header_bit_flipped(path):
     data = bytearray(path.read_bytes())
-    fields = list(HEADER.unpack_from(data, 12))
-    fields[4] += 1  # the arrays stream's size
-    HEADER.pack_into(data, 12, *fields)
+    data[12] ^= 1  # the lowest bit of k1's mantissa; the crc32 is left as it was
     path.write_bytes(bytes(data))
 
 
@@ -640,20 +667,15 @@ def _strings(raw):
 
 
 def _width(width):
-    def corrupt(path):
-        data = bytearray(path.read_bytes())
-        data[BODY - 5] = width  # doc_lens' width, the first of the five
-        path.write_bytes(bytes(data))
-    return corrupt
+    def edit(fields):
+        fields[-5] = width  # doc_lens' width, the first of the five
+    return _header_fields(edit)
 
 
 def _bm25_params(k1, b):
-    def corrupt(path):
-        data = bytearray(path.read_bytes())
-        _k1, _b, *rest = HEADER.unpack_from(data, 12)
-        HEADER.pack_into(data, 12, k1, b, *rest)
-        path.write_bytes(bytes(data))
-    return corrupt
+    def edit(fields):
+        fields[:2] = k1, b
+    return _header_fields(edit)
 
 
 def _no_documents(path):
@@ -671,13 +693,16 @@ def _header_only_part(path):
     (_v2_file, "unsupported index format version 2"),
     (_v3_file, "unsupported index format version 3"),
     (_v4_file, "unsupported index format version 4"),
-    (_stream_sizes_off_by_one, "do not sum"),
+    (_v5_file, "unsupported index format version 5"),
+    (_header_bit_flipped, "header fails its crc32 check"),
+    (_header_fields(_bump(4, 1)), "do not sum"),  # the arrays stream's size
     (_texts_byte_flipped, "texts stream fails its crc32 check"),
     # same byte size, but sum(dfs) != number of postings
     (_edit_arrays(1, _bump(0, 1)), "section lengths disagree"),
     # one text length fewer than there are documents
     (_edit_arrays(4, list.pop), "section lengths disagree"),
-    (_strings(b"d1\nd1\nd3\ncold\nshark\nwarm"), "duplicate document id"),
+    (_strings(b"d1\nd1\nd3\ncold\nshark\nwarm"), "document ids are not strictly ascending"),
+    (_strings(b"d2\nd1\nd3\ncold\nshark\nwarm"), "document ids are not strictly ascending"),
     (_strings(b"d1\nd2\nd3\ncold\nwarm\nshark"), "terms are not strictly ascending"),
     (_strings(b"d1\nd2\nd3\ncold\nshark\nshark"), "terms are not strictly ascending"),
     (_strings(b"d1\nd2\nd3\ncold\nshark\nwarm\nzebra"),
@@ -700,8 +725,9 @@ def _header_only_part(path):
     (_bm25_params(0.9, math.nan), "b must be >= 0 and <= 1, got nan"),
     (_bm25_params(0.9, math.inf), "b must be >= 0 and <= 1, got inf"),
     (_bm25_params(0.9, 3.0), "b must be >= 0 and <= 1, got 3.0"),
-], ids=["v1", "v2", "v3", "v4", "sizes", "texts-crc32", "dfs", "text-lens", "duplicate-doc-id",
-        "unsorted-terms", "repeated-term", "names-count", "width3", "width8", "strings",
+], ids=["v1", "v2", "v3", "v4", "v5", "header-crc32", "sizes", "texts-crc32", "dfs", "text-lens",
+        "duplicate-doc-id", "unsorted-ids", "unsorted-terms", "repeated-term", "names-count",
+        "width3", "width8", "strings",
         "id-with-space", "empty-id", "id-with-line-separator", "no-documents", "header",
         "k1-nan", "k1-inf", "k1-negative", "b-nan", "b-inf", "b-above-1"])
 def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys,
@@ -714,6 +740,58 @@ def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys
     assert main(["search", "--index", str(path), "--query", "shark"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err
+
+
+# listed out of id order, and of lengths 4, 1 and 6, so that k1 and b each change every score
+_DAMAGE_DOCS = [Document("d3", "shark warm shark cold"), Document("d1", "shark"),
+                Document("d2", "warm cold cold warm warm shark")]
+
+
+def _damaged_bytes(data, kind, at, value):
+    """``data`` damaged in one of five ways, at ``at`` modulo its length."""
+    if kind == "flip":  # bit ``value % 8`` of one byte
+        at %= len(data)
+        return data[:at] + bytes([data[at] ^ 1 << value % 8]) + data[at + 1:]
+    if kind == "truncate":
+        return data[:at % len(data)]
+    if kind == "insert":
+        at %= len(data) + 1
+        return data[:at] + bytes([value]) + data[at:]
+    if kind == "delete":
+        at %= len(data)
+        return data[:at] + data[at + 1:]
+    return data + bytes([value]) * (1 + at % 8)  # "append"
+
+
+def _everything_read(path, terms):
+    """The hits of each of ``terms`` and of all of them at once, and every text."""
+    index = InvertedIndex.load(path)
+    hits = [index.search(query, 10) for query in [*terms, " ".join(terms)]]
+    return hits, index.doc_texts
+
+
+@settings(max_examples=300, deadline=None)
+# a flip in k1's and one in b's mantissa: each gives a valid value and other scores
+@example(kind="flip", at=18, value=0)
+@example(kind="flip", at=26, value=0)
+@given(kind=st.sampled_from(["flip", "truncate", "insert", "delete", "append"]),
+       at=st.integers(0, 1 << 16), value=st.integers(0, 255))
+def test_a_damaged_file_is_refused_or_reads_as_the_undamaged_one(kind, at, value):
+    index = build_index(_DAMAGE_DOCS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.bin")
+        index.save(path)
+        expected = _everything_read(path, index.terms)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(_damaged_bytes(data, kind, at, value))
+        try:
+            seen = _everything_read(path, index.terms)
+        except DataFormatError:
+            return
+    # a flip in the padding bits that end a zlib stream changes nothing that is read
+    assert seen == expected
 
 
 def _shark_gaps_past_u32(path):

@@ -70,8 +70,8 @@ def test_rm3_search_matches_oracle_ranking(shark_index):
 
 def test_zero_hit_query_falls_back_to_plain_search(shark_index):
     # q9 is indexable but matches nothing
-    assert shark_index.search("q9", 10) == []
-    assert rm3_search(shark_index, "q9", Rm3Config(), 10) == []
+    assert list(shark_index.search("q9", 10)) == []
+    assert list(rm3_search(shark_index, "q9", Rm3Config(), 10)) == []
 
 
 def test_original_weight_one_preserves_plain_ranking(shark_index):
