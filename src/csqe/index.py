@@ -18,14 +18,17 @@ Documents are numbered in doc-id order, whatever order the corpus lists them
 in: ordinal ``i`` is the ``i``-th smallest id. In memory the postings are
 compressed sparse rows: the posting lists of the sorted terms laid end to end
 in two ``array``s, ``gaps`` and ``tfs``, with term ``i``'s list at
-``offsets[i]:offsets[i + 1]``. ``gaps`` holds each list's document ordinals,
-ascending, gap-coded as in the file (the first entry is the ordinal itself,
-each later one the distance to the one before), and a loaded index keeps both
-arrays at the width the file stored. On a term's first use a
+``offsets[i]:offsets[i + 1]``. A term's slot ``i`` and a document's ordinal
+are found by bisection in the sorted ``terms`` and ``doc_ids``, so opening an
+index builds nothing per term or per document. ``gaps`` holds each list's
+document ordinals, ascending, gap-coded as in the file (the first entry is the
+ordinal itself, each later one the distance to the one before), and a loaded
+index keeps both arrays at the width the file stored. On a term's first use a
 search decodes its ordinals and computes the term's idf and each posting's
 impact, the part of its BM25 term score that no query changes,
 ``c = tf * (k1 + 1) / (tf + k1 * (1 - b + b * len / avglen))``, and keeps the
-``(idf, ordinals, impacts)`` triple for later searches: a query decodes only
+``(idf, ordinals, impacts)`` triple, in a dict keyed by term, for later
+searches (a term the index lacks is not kept): a query decodes only
 the lists it reads, and a term of weight ``w`` adds ``w * idf * c`` to each of
 its documents, one multiply per posting. The arrays cost 12 bytes per decoded
 posting.
@@ -98,6 +101,7 @@ import threading
 import uuid
 import zlib
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from contextlib import suppress
@@ -202,8 +206,9 @@ class WeightedQuery:
 class InvertedIndex:
     """Immutable postings index. Build once, search from any thread.
 
-    ``doc_texts`` is given as the list of texts, or as a function that
-    returns it, which the first read of ``doc_texts`` calls.
+    ``terms`` and ``doc_ids`` are each strictly ascending. ``doc_texts`` is
+    given as the list of texts, or as a function that returns it, which the
+    first read of ``doc_texts`` calls.
     """
 
     def __init__(
@@ -223,9 +228,9 @@ class InvertedIndex:
         self.offsets = offsets
         self.gaps = gaps
         self.tfs = tfs
-        # each slot's (idf, ordinals, impacts) triple, filled on the term's first use by
+        # term -> its (idf, ordinals, impacts) triple, stored on the term's first use by
         # _rank; the impacts are 8 bytes per decoded posting on top of the ordinals' 4
-        self._postings: list[tuple[float, array, array] | None] = [None] * len(terms)
+        self._postings: dict[str, tuple[float, array, array]] = {}
         self.doc_ids = doc_ids
         self.doc_lens = doc_lens
         self._texts = doc_texts
@@ -235,8 +240,6 @@ class InvertedIndex:
         self._source = source  # names the index in the error a damaged postings list raises
         self.doc_count = len(doc_ids)
         avg = sum(doc_lens) / self.doc_count if self.doc_count else 0.0
-        self._slots = {term: slot for slot, term in enumerate(terms)}
-        self._ordinal_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
         # k1 times the length norm of each document; avg is 0 only when every length is
         self._knorm = ([k1 * (1.0 - b + b * n / avg) for n in doc_lens] if avg
                        else [k1 * (1.0 - b)] * len(doc_lens))
@@ -255,14 +258,18 @@ class InvertedIndex:
     # -- statistics ---------------------------------------------------------
 
     def df(self, term: str) -> int:
-        slot = self._slots.get(term)
+        slot = _find(self.terms, term)
         return 0 if slot is None else self.offsets[slot + 1] - self.offsets[slot]
 
     def _idf(self, df: int) -> float:
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
     def ordinal(self, doc_id: str) -> int:
-        return self._ordinal_of[doc_id]
+        """The ordinal of ``doc_id``; raises ``KeyError`` if the index lacks it."""
+        ordinal = _find(self.doc_ids, doc_id)
+        if ordinal is None:
+            raise KeyError(doc_id)
+        return ordinal
 
     # -- scoring ------------------------------------------------------------
 
@@ -275,14 +282,14 @@ class InvertedIndex:
         for term, weight in term_weights.items():
             if weight == 0.0:
                 continue
-            slot = self._slots.get(term)
-            if slot is None:
-                continue
-            start, end = self.offsets[slot], self.offsets[slot + 1]
-            postings = decoded[slot]
+            postings = decoded.get(term)
             if postings is None:
+                slot = _find(self.terms, term)
+                if slot is None:
+                    continue
+                start, end = self.offsets[slot], self.offsets[slot + 1]
                 # threads racing on a term's first use each build an equal triple, and a
-                # list item store is atomic, so every reader sees a whole triple: no lock
+                # dict item store is atomic, so every reader sees a whole triple: no lock
                 gaps = self.gaps[start:end]
                 # the sum is checked before the u32 array is built, which it could overflow
                 problem = ("duplicate ordinal in a postings list" if 0 in gaps[1:]
@@ -293,11 +300,11 @@ class InvertedIndex:
                 ordinals = array(_U32, accumulate(gaps))
                 impacts = array("d", [tf * k1p1 / (tf + knorm[o])
                                       for o, tf in zip(ordinals, self.tfs[start:end])])
-                postings = decoded[slot] = self._idf(end - start), ordinals, impacts
+                postings = decoded[term] = self._idf(end - start), ordinals, impacts
             idf, ordinals, impacts = postings
             # weight * idf * c is the term's weighted BM25 score in document o
             lists.append((weight * idf, ordinals, impacts))
-            reached += end - start
+            reached += len(ordinals)
         if 2 * reached >= self.doc_count:
             # most documents are candidates: a slot per document, taken in ordinal order
             acc = [0.0] * self.doc_count
@@ -419,12 +426,19 @@ class InvertedIndex:
             for what, sorted_names in (("document ids", doc_ids), ("terms", terms)):
                 if not all(map(lt, sorted_names, sorted_names[1:])):
                     raise ValueError(f"{what} are not strictly ascending")
-            if not (sum(dfs) == len(gaps) == len(tfs) and len(text_lens) == doc_count):
+            offsets = [0, *accumulate(dfs)]
+            if not (offsets[-1] == len(gaps) == len(tfs) and len(text_lens) == doc_count):
                 raise ValueError("section lengths disagree")
         except (zlib.error, ValueError) as exc:
             raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
-        return cls(terms, [0, *accumulate(dfs)], gaps, tfs, doc_ids, doc_lens.tolist(),
+        return cls(terms, offsets, gaps, tfs, doc_ids, doc_lens.tolist(),
                    partial(_decode_texts, path, texts, text_lens), k1=k1, b=b, source=path)
+
+
+def _find(names: list[str], name: str) -> int | None:
+    """The position of ``name`` in the strictly ascending ``names``, or None."""
+    i = bisect_left(names, name)
+    return i if i < len(names) and names[i] == name else None
 
 
 def _decode_texts(path: str, stream: bytes, lengths: array) -> list[str]:

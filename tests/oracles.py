@@ -98,6 +98,36 @@ def ranking_from_scores(doc_ids, scores):
     return pairs
 
 
+class DictIndex:
+    """Lookups by dict and brute-force BM25 over documents given as ``(doc_id, tokens)``.
+
+    Documents are numbered in ascending id order. ``df`` and ``ordinal`` read
+    dicts built from the token lists, as ``csqe.index.InvertedIndex`` did before
+    it bisected its sorted lists; ``ordinal`` raises ``KeyError`` for an id it
+    does not hold. The searches return ``(doc_id, score)`` pairs.
+    """
+
+    def __init__(self, docs):
+        docs = sorted(docs)
+        self.doc_ids = [doc_id for doc_id, _ in docs]
+        self.token_lists = [tokens for _, tokens in docs]
+        self._ordinal_of = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+        self._df = Counter(term for tokens in self.token_lists for term in set(tokens))
+
+    def df(self, term):
+        return self._df.get(term, 0)
+
+    def ordinal(self, doc_id):
+        return self._ordinal_of[doc_id]
+
+    def search(self, query_tokens, k):
+        return ranking_from_scores(self.doc_ids, bm25_scores(self.token_lists, query_tokens))[:k]
+
+    def search_weighted(self, weights, k):
+        return ranking_from_scores(
+            self.doc_ids, bm25_weighted_scores(self.token_lists, weights))[:k]
+
+
 def rm3_weights(doc_ids, doc_token_lists, query_tokens, fb_docs, fb_terms,
                 original_weight, k1=0.9, b=0.4, stopwords=frozenset()):
     """Step-by-step RM3 reference over token lists."""

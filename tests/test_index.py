@@ -21,7 +21,8 @@ from csqe.errors import DataFormatError
 from csqe.index import InvertedIndex, Ranking, ScoredHit, WeightedQuery, build_index
 from csqe.prf import Rm3Config, rm3_search
 
-from oracles import bm25_scores, bm25_weighted_scores, build_postings, ranking_from_scores
+from oracles import (DictIndex, bm25_scores, bm25_weighted_scores, build_postings,
+                     ranking_from_scores)
 
 # porter-stable, non-stopword alphabet for generated corpora
 TOKENS = ["d2", "f3", "g5", "h7", "j9", "k4", "m6", "n8"]
@@ -834,7 +835,6 @@ def test_a_damaged_postings_list_is_refused_on_its_first_search(tmp_path, shark_
 def test_a_file_with_one_bad_list_refuses_only_that_term(tmp_path, shark_index, corrupt,
                                                           message):
     index = InvertedIndex.load(str(_damaged(tmp_path, shark_index, corrupt)))
-    slot = index.terms.index("shark")
     good = WeightedQuery({"cold": 1.0, "warm": 0.5})
     bad = WeightedQuery({"cold": 1.0, "shark": 0.5})
     for search in (lambda index: index.search("shark", 10),
@@ -842,7 +842,7 @@ def test_a_file_with_one_bad_list_refuses_only_that_term(tmp_path, shark_index, 
         for _ in range(2):  # nothing was kept, so a second search raises again
             with pytest.raises(DataFormatError, match=message):
                 search(index)
-            assert index._postings[slot] is None
+            assert "shark" not in index._postings
         for query in ("cold", "warm", "cold warm"):
             assert index.search(query, 10) == shark_index.search(query, 10)
         assert index.search_weighted(good, 10) == shark_index.search_weighted(good, 10)
@@ -873,7 +873,7 @@ def test_concurrent_first_uses_of_a_bad_list_all_raise(tmp_path, shark_index, co
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(errors) == 8 and all(message in error for error in errors)
-    assert index._postings[index.terms.index("shark")] is None
+    assert "shark" not in index._postings
 
 
 def test_a_run_over_a_bad_list_fails_and_leaves_its_output(tmp_path, shark_index, capsys):
@@ -932,17 +932,17 @@ def test_a_one_term_search_on_a_loaded_index_decodes_one_list(tmp_path, shark_in
     shark_index.save(str(path))
     index = InvertedIndex.load(str(path))
     assert index.terms == ["cold", "shark", "warm"]
-    assert index._postings == [None, None, None]
+    assert index._postings == {}
     hits = index.search("shark", 10)
     assert hits == shark_index.search("shark", 10)
-    assert index._postings[0] is None and index._postings[2] is None
-    decoded = index._postings[1]
+    assert list(index._postings) == ["shark"]
+    decoded = index._postings["shark"]
     idf, ordinals, impacts = decoded
     assert idf == index._idf(2)
     assert ordinals == array("I", [0, 1])
     assert [hit.score for hit in hits] == [index._idf(2) * c for c in impacts]
     assert index.search("shark", 10) == hits
-    assert index._postings[1] is decoded  # a later search reuses the decoded pair
+    assert index._postings["shark"] is decoded  # a later search reuses the decoded triple
 
 
 def test_concurrent_first_uses_of_a_term_all_get_the_same_hits(tmp_path):
@@ -1040,6 +1040,48 @@ def test_decoded_postings_left_by_earlier_queries_never_change_a_result(
         assert search(fresh) == expected
         assert search(used) == expected
         assert search(fresh) == expected  # now from the pairs the first search left
+
+
+# neighbours and prefixes ("a" itself is a stopword, so no index holds it), and ids
+# whose string order is not their numeric order
+_LOOKUP_TERMS = ["ab", "abc", "abd", "b", "ba", "bc", "d1", "d10", "d2"]
+# before the first term, between two neighbours, and after the last
+_ABSENT_TERMS = ["0", "aa", "abca", "abz", "bb", "zz"]
+_LOOKUP_IDS = ["d1", "d10", "d2", "d20", "d3"]
+_ABSENT_IDS = ["", "d", "d0", "d11", "d15", "d4", "e"]
+
+
+@settings(max_examples=60, deadline=None)
+@example(docs=[("d1", ["ab"])], queries=[["aa", "ab", "abc", "zz"]], weights={"0": 1.0})
+@given(
+    docs=st.lists(st.tuples(st.sampled_from(_LOOKUP_IDS),
+                            st.lists(st.sampled_from(_LOOKUP_TERMS), max_size=8)),
+                  min_size=1, max_size=5, unique_by=lambda doc: doc[0]),
+    queries=st.lists(st.lists(st.sampled_from(_LOOKUP_TERMS + _ABSENT_TERMS), min_size=1,
+                              max_size=5), min_size=1, max_size=4),
+    weights=st.dictionaries(st.sampled_from(_LOOKUP_TERMS + _ABSENT_TERMS),
+                            st.floats(0.01, 10.0), min_size=1),
+)
+def test_terms_and_ids_are_looked_up_as_a_dict_would(tmp_path_factory, docs, queries, weights):
+    oracle = DictIndex(docs)
+    built = build_index([Document(doc_id, " ".join(tokens)) for doc_id, tokens in docs])
+    path = tmp_path_factory.mktemp("idx") / "index.bin"
+    built.save(str(path))
+    for index in (built, InvertedIndex.load(str(path))):
+        for term in _LOOKUP_TERMS + _ABSENT_TERMS + [""]:
+            assert index.df(term) == oracle.df(term)
+        for doc_id in _LOOKUP_IDS + _ABSENT_IDS:
+            if doc_id in oracle.doc_ids:
+                assert index.ordinal(doc_id) == oracle.ordinal(doc_id)
+            else:
+                with pytest.raises(KeyError):
+                    index.ordinal(doc_id)
+        for query in queries:
+            hits = index.search(" ".join(query), 10)
+            assert list(zip(hits.doc_ids, hits.scores)) == oracle.search(query, 10)
+        hits = index.search_weighted(WeightedQuery(weights), 10)
+        assert list(zip(hits.doc_ids, hits.scores)) == oracle.search_weighted(weights, 10)
+        assert set(index._postings) <= set(index.terms)  # an absent term is not kept
 
 
 def _one_byte_more(blob):
