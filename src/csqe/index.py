@@ -75,6 +75,18 @@ Only RM3 and CSQE read document texts, so ``load`` keeps the texts stream
 compressed and ``doc_texts`` decodes it on its first read, once per index:
 a bm25 run or ``csqe search`` never decompresses a text.
 
+``build_index`` deflates the texts stream on a worker thread, started once the
+documents are sorted by id and before they are tokenized. zlib releases the
+interpreter lock while it compresses, so the deflate runs beside the
+tokenizing. Each return from zlib takes the lock back, which can wait one
+switch interval, so the worker hands zlib ``_TEXTS_CHUNK`` bytes of whole
+texts per call rather than a text per call. An index holds its texts stream
+and the byte length of each text: a built index the worker's result, which its
+first ``save`` waits for and keeps, and a loaded index the stream as the file
+stored it. ``save`` writes the stream the index holds. An exception the worker
+raised, such as ``UnicodeEncodeError`` for a text holding a lone surrogate, is
+raised again, with its own type, by every ``save``, before any file is opened.
+
 ``load`` checks that the header matches its crc32, that k1 and b pass
 ``check_bm25_params``, that the stream sizes add up to the file, that the
 texts stream matches its crc32, that the names stream is UTF-8 and splits at
@@ -126,6 +138,11 @@ _TYPECODES = {array(code).itemsize: code for code in "LIHB"}  # byte width -> ty
 _U32 = _TYPECODES[4]
 # every stream's; the texts are most of the file and of the time save spends compressing
 _ZLIB_LEVEL = 5
+# bytes of UTF-8 text the deflate worker hands zlib per call, whole texts at a time. zlib
+# releases the interpreter lock while it compresses, and each return takes the lock back,
+# which can wait one switch interval (5 ms) while the build holds it: a call per text
+# waits more than it overlaps, a few large calls do not. One chunk bounds the input copy.
+_TEXTS_CHUNK = 256 * 1024
 
 
 def check_bm25_params(k1: float, b: float) -> None:
@@ -208,7 +225,9 @@ class InvertedIndex:
 
     ``terms`` and ``doc_ids`` are each strictly ascending. ``doc_texts`` is
     given as the list of texts, or as a function that returns it, which the
-    first read of ``doc_texts`` calls.
+    first read of ``doc_texts`` calls. ``texts_stream`` is the texts stream as
+    ``save`` writes it and each text's UTF-8 byte length, given as that pair or
+    as a function that returns it, which the first ``save`` calls.
     """
 
     def __init__(
@@ -220,6 +239,7 @@ class InvertedIndex:
         doc_ids: list[str],
         doc_lens: list[int],
         doc_texts: list[str] | Callable[[], list[str]],
+        texts_stream: tuple[bytes, array] | Callable[[], tuple[bytes, array]],
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
         source: str = "in-memory index",
@@ -235,6 +255,7 @@ class InvertedIndex:
         self.doc_lens = doc_lens
         self._texts = doc_texts
         self._texts_lock = threading.Lock()
+        self._stream = texts_stream
         self.k1 = k1
         self.b = b
         self._source = source  # names the index in the error a damaged postings list raises
@@ -350,21 +371,17 @@ class InvertedIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        # each text is compressed as it is encoded, so neither the encoded texts nor
-        # their join is held; deflate's output does not depend on how its input is cut
-        packer, packed, text_lens = zlib.compressobj(_ZLIB_LEVEL), [], array(_U32)
-        for text in self.doc_texts:
-            raw = text.encode("utf-8")
-            text_lens.append(len(raw))
-            packed.append(packer.compress(raw))
-        packed.append(packer.flush())
+        stream = self._stream
+        if callable(stream):  # a built index's deflate worker: the first save waits for it
+            stream = self._stream = stream()
+        texts, text_lens = stream
         dfs = array(_U32, map(sub, self.offsets[1:], self.offsets))
         arrays = [array(_U32, self.doc_lens), dfs, self.gaps, self.tfs, text_lens]
         widths, planes = zip(*map(_planes, arrays))
         streams = [
             zlib.compress("\n".join(chain(self.doc_ids, self.terms)).encode("utf-8"),
                           _ZLIB_LEVEL),
-            b"".join(packed),
+            texts,
             zlib.compress(b"".join(planes), _ZLIB_LEVEL),
         ]
         header = _MAGIC + struct.pack("<I", _FORMAT_VERSION) + _HEADER.pack(
@@ -432,7 +449,8 @@ class InvertedIndex:
         except (zlib.error, ValueError) as exc:
             raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
         return cls(terms, offsets, gaps, tfs, doc_ids, doc_lens.tolist(),
-                   partial(_decode_texts, path, texts, text_lens), k1=k1, b=b, source=path)
+                   partial(_decode_texts, path, texts, text_lens), (texts, text_lens),
+                   k1=k1, b=b, source=path)
 
 
 def _find(names: list[str], name: str) -> int | None:
@@ -459,6 +477,48 @@ def _decode_texts(path: str, stream: bytes, lengths: array) -> list[str]:
     except (zlib.error, ValueError) as exc:
         raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
     return texts
+
+
+class _DeflateWorker:
+    """Deflates texts into the texts stream on a thread of its own, started at once.
+
+    Calling it waits for the thread, then returns the stream and each text's
+    UTF-8 byte length, or raises again what the thread raised.
+    """
+
+    def __init__(self, texts: list[str]):
+        self._result: tuple[bytes, array] | BaseException | None = None
+        self._thread = threading.Thread(target=self._run, args=(texts,), name="csqe-deflate")
+        self._thread.start()
+
+    def _run(self, texts: list[str]) -> None:
+        try:
+            self._result = _deflate_texts(texts)
+        except BaseException as exc:  # raised again on the thread that waits for the stream
+            self._result = exc
+
+    def __call__(self) -> tuple[bytes, array]:
+        self._thread.join()
+        if isinstance(self._result, BaseException):
+            raise self._result
+        return self._result
+
+
+def _deflate_texts(texts: list[str]) -> tuple[bytes, array]:
+    """The texts as UTF-8, end to end, deflated; and each text's byte length.
+
+    Deflate's output does not depend on how its input is cut, so the stream is
+    the same whatever ``_TEXTS_CHUNK`` is.
+    """
+    packer, packed, lens, chunk = zlib.compressobj(_ZLIB_LEVEL), [], array(_U32), bytearray()
+    for raw in map(str.encode, texts):
+        lens.append(len(raw))
+        chunk += raw
+        if len(chunk) >= _TEXTS_CHUNK:
+            packed.append(packer.compress(chunk))
+            chunk.clear()
+    packed += packer.compress(chunk), packer.flush()
+    return b"".join(packed), lens
 
 
 def _planes(values: array) -> tuple[int, bytes]:
@@ -518,6 +578,8 @@ def build_index(
     docs = sorted(docs, key=attrgetter("id"))
     doc_ids = [doc.id for doc in docs]
     doc_texts = [doc.text for doc in docs]
+    # zlib releases the interpreter lock, so the texts deflate while the loop below tokenizes
+    texts_stream = _DeflateWorker(doc_texts)
     doc_lens: list[int] = []
     flat: dict[str, list[int]] = {}  # term -> [ordinal, tf, ordinal, tf, ...]
     for ordinal, text in enumerate(doc_texts):
@@ -543,4 +605,5 @@ def build_index(
     for start in offsets[:-1]:
         before[start] = 0
     gaps = array(_U32, map(sub, ordinals, before))
-    return InvertedIndex(terms, offsets, gaps, tfs, doc_ids, doc_lens, doc_texts, k1=k1, b=b)
+    return InvertedIndex(terms, offsets, gaps, tfs, doc_ids, doc_lens, doc_texts, texts_stream,
+                         k1=k1, b=b)

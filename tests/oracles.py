@@ -7,6 +7,7 @@ raise; that parser returns a plain dict.
 """
 
 import math
+import zlib
 from collections import Counter
 from itertools import accumulate
 from operator import sub
@@ -66,6 +67,15 @@ def build_postings(token_lists):
         tfs.extend(entry[1::2])
     offsets = [0, *accumulate(len(flat[term]) // 2 for term in terms)]
     return terms, offsets, gaps, tfs, [len(tokens) for tokens in token_lists]
+
+
+def texts_stream(texts, level=5):
+    """The texts stream of an index file, and the UTF-8 byte length of each text.
+
+    One ``zlib.compressobj`` is fed each text's UTF-8 on its own, then flushed.
+    """
+    packer, raws = zlib.compressobj(level), [text.encode("utf-8") for text in texts]
+    return b"".join([*map(packer.compress, raws), packer.flush()]), list(map(len, raws))
 
 
 def bm25_weighted_scores(doc_token_lists, weights, k1=0.9, b=0.4):

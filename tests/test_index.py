@@ -10,6 +10,7 @@ import time
 import zlib
 from array import array
 from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,7 @@ from csqe.index import InvertedIndex, Ranking, ScoredHit, WeightedQuery, build_i
 from csqe.prf import Rm3Config, rm3_search
 
 from oracles import (DictIndex, bm25_scores, bm25_weighted_scores, build_postings,
-                     ranking_from_scores)
+                     ranking_from_scores, texts_stream)
 
 # porter-stable, non-stopword alphabet for generated corpora
 TOKENS = ["d2", "f3", "g5", "h7", "j9", "k4", "m6", "n8"]
@@ -362,6 +363,8 @@ def test_save_load_round_trip(tmp_path, shark_docs):
     assert loaded.k1 == index.k1 and loaded.b == index.b
     for query in ("shark", "shark warm", "cold warm shark"):
         assert loaded.search(query, 10) == index.search(query, 10)
+    loaded.save(str(tmp_path / "again.bin"))  # the texts stream as stored
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_save_survives_a_nested_save_to_the_same_path(tmp_path, shark_index, monkeypatch):
@@ -495,6 +498,66 @@ def test_saved_arrays_take_the_narrowest_width(tmp_path):
                                [2, 1, 1, 2, 2])
     build_index([Document("a", "shark"), Document("b", "warm shark")]).save(str(path))
     assert _read(path)[3:] == ([[1, 2], [2, 1], [0, 1, 1], [1, 1, 1], [5, 10]], [1] * 5)
+
+
+def _texts_stream_of(path):
+    """The texts stream of a v6 file as stored, and the text lengths its arrays hold."""
+    data = path.read_bytes()
+    _k1, _b, names_size, texts_size, *_ = HEADER.unpack_from(data, len(MAGIC) + 4)
+    return data[BODY + names_size:BODY + names_size + texts_size], _read(path)[3][4]
+
+
+@settings(max_examples=60, deadline=None)
+@example(texts=["", "abc", "", "\u00e9" * 5, "x\U0001f600"], chunk=4)
+@example(texts=["a" * 30], chunk=1)
+@given(texts=st.lists(st.one_of(st.just(""), st.text(max_size=20)), min_size=1, max_size=12),
+       chunk=st.integers(min_value=1, max_value=48))
+def test_the_texts_stream_does_not_depend_on_where_the_worker_cuts_it(tmp_path_factory, texts,
+                                                                       chunk):
+    # the ids sort in list order, so the texts keep it; against texts of up to 80 UTF-8
+    # bytes, a chunk of 1-48 bytes takes one text or several, and the flush the rest
+    docs = [Document(f"d{i:02d}", text) for i, text in enumerate(texts)]
+    path = tmp_path_factory.mktemp("idx") / "index.bin"
+    with patch.object(csqe.index, "_TEXTS_CHUNK", chunk):
+        build_index(docs).save(str(path))
+    assert _texts_stream_of(path) == texts_stream(texts)
+
+
+def test_a_text_that_is_not_utf8_fails_every_save_and_leaves_no_file(tmp_path, capsys):
+    # build_index takes any str; parse_jsonl_corpus refuses a lone surrogate, the API does not
+    before = set(threading.enumerate())
+    index = build_index([Document("a", "shark"), Document("b", "warm \ud800 shark")])
+    assert index.search("warm", 10).doc_ids == ["b"]
+    for _ in range(2):  # the worker's error is raised again, with its own type
+        with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
+            index.save(str(tmp_path / "bad.bin"))
+    assert list(tmp_path.iterdir()) == []
+    assert set(threading.enumerate()) <= before  # the deflate worker has ended
+    assert capsys.readouterr().err == ""
+
+
+def test_concurrent_first_saves_of_a_built_index_write_one_file(tmp_path):
+    docs = [Document(f"d{i:03d}", f"shark warm {i} " * 40) for i in range(300)]
+    index = build_index(docs)
+    start, paths = threading.Barrier(8), [tmp_path / f"{i}.bin" for i in range(8)]
+
+    def save(path):
+        start.wait(timeout=10)
+        index.save(str(path))
+
+    threads = [threading.Thread(target=save, args=(path,)) for path in paths]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert {path.read_bytes() for path in paths} == {paths[0].read_bytes()}
+    assert _texts_stream_of(paths[0]) == texts_stream([doc.text for doc in docs])
 
 
 @settings(max_examples=40, deadline=None)
