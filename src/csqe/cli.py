@@ -14,14 +14,13 @@ import logging
 import math
 import os
 import sys
-import uuid
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack
 from datetime import datetime, timezone
 
 from . import evaluation, expansion, llm, prf
-from .corpus import is_single_field, parse_jsonl_corpus, parse_queries_tsv
+from .corpus import is_single_field, parse_jsonl_corpus, parse_queries_tsv, replacing
 from .errors import BackendError, CsqeError, DataFormatError, UsageError
 from .index import DEFAULT_B, DEFAULT_K1, InvertedIndex, Ranking, build_index, check_bm25_params
 
@@ -333,28 +332,21 @@ def cmd_run(args) -> int:
     # written and at most 2 x jobs queries' results ahead of it (none, for --jobs 1),
     # an output that cannot be created fails before any backend call, and a failed run
     # leaves an existing output untouched.
-    if os.path.isdir(args.output):  # os.replace would refuse it only after the last query
+    if os.path.isdir(args.output):  # the rename would refuse it only after the last query
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
     generations = []
-    tmp = f"{args.output}.tmp.{uuid.uuid4().hex}"
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh, ExitStack() as stack:
-            if config["jobs"] > 1:
-                pool = ThreadPoolExecutor(max_workers=config["jobs"])
-                # on failure, the queries not yet started are dropped rather than run
-                stack.callback(pool.shutdown, cancel_futures=True)
-                results = _map_ahead(pool, run_query, queries, 2 * config["jobs"])
-            else:
-                results = map(run_query, queries)
-            for query, (hits, gens) in zip(queries, results):
-                fh.write(evaluation.write_trec_run({query.id: hits}, tag=config["tag"]))
-                if args.dump_prompts:
-                    generations.extend(gens)
-        os.replace(tmp, args.output)
-    except BaseException:
-        with suppress(FileNotFoundError):  # open itself failed
-            os.unlink(tmp)
-        raise
+    with replacing(args.output, "x", encoding="utf-8") as fh, ExitStack() as stack:
+        if config["jobs"] > 1:
+            pool = ThreadPoolExecutor(max_workers=config["jobs"])
+            # on failure, the queries not yet started are dropped rather than run
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = _map_ahead(pool, run_query, queries, 2 * config["jobs"])
+        else:
+            results = map(run_query, queries)
+        for query, (hits, gens) in zip(queries, results):
+            fh.write(evaluation.write_trec_run({query.id: hits}, tag=config["tag"]))
+            if args.dump_prompts:
+                generations.extend(gens)
     if args.dump_prompts:
         expansion.write_prompt_dump(args.dump_prompts, generations)
 
@@ -378,7 +370,7 @@ def cmd_run(args) -> int:
         # deterministic for unchanged inputs: SOURCE_DATE_EPOCH, else the newest input's mtime
         "timestamp": fixed_time or _utc_iso(max(int(os.stat(p).st_mtime) for p in input_paths)),
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with replacing(manifest_path, "x", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     log.info("wrote %s and %s", args.output, manifest_path)

@@ -18,6 +18,10 @@ the regex class ``[^\\W_]``. Lowercased ASCII text is split by one
 ``str.split()``; that gives the same tokens as the regex, which splits any
 other text.
 
+Every file the package writes, other than a prompt dump's prompt and response
+files, is written through ``replacing``: under a temp name that is renamed
+onto the file once it is whole, and unlinked if writing it fails.
+
 ``tokenize`` keeps each word's index term in one module-level memo, a dict
 of at most ``1 << 16`` words (a stopword's term is ``""``) that is cleared
 when it would outgrow that bound; a corpus repeats a small vocabulary many
@@ -25,8 +29,11 @@ times over, so most words are read from it and only the others are stemmed.
 """
 
 import json
+import os
 import re
 import threading
+import uuid
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from importlib import resources
 from typing import BinaryIO, Iterator
@@ -119,6 +126,30 @@ def is_single_field(text: str) -> bool:
     each must stay one field when such a line is split.
     """
     return text.split() == [text]
+
+
+@contextmanager
+def replacing(path, mode: str = "xb", **open_kwargs):
+    """Open a new file for writing that replaces ``path`` when the block exits cleanly.
+
+    The file is ``<path>.tmp.<uuid4 hex>``, opened with ``open(tmp, mode,
+    **open_kwargs)``, and moved onto ``path`` by ``os.replace``, so a reader
+    of ``path`` sees the old file or the whole new one. The name is unique per
+    call: writers of one path, even one nested inside another on one thread,
+    never share a temp file. On any exception the temp file is unlinked and
+    ``path`` is left as it was. The unlink matters because nothing else ever
+    removes a temp file: no reader opens one, and ``GenerationCache.clear``
+    never matches its name.
+    """
+    tmp = f"{path}.tmp.{uuid.uuid4().hex}"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):  # open itself failed
+            os.unlink(tmp)
+        raise
 
 
 def _iter_lines(stream: BinaryIO, kind: str) -> Iterator[tuple[int, str]]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Query, truncate_whitespace_tokens
+from .corpus import Query, replacing, truncate_whitespace_tokens
 from .index import InvertedIndex, Ranking
 from .llm import DEFAULT_TEMPERATURE, LlmClient, prompt_hash
 
@@ -296,8 +296,8 @@ def write_prompt_dump(root, generations) -> None:
             response_files.append(name)
         records.append({"query_id": query_id, "kind": kind, "prompt_file": prompt_file,
                         "prompt_sha256": prompt_hash(prompt), "response_files": response_files})
-    payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    (root / "prompts.json").write_text(payload, encoding="utf-8")
+    with replacing(root / "prompts.json", "x", encoding="utf-8") as fh:
+        fh.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
 
 
 def csqe_pipeline(

@@ -71,21 +71,22 @@ and the three streams, each at zlib level 5:
    its width (the "shuffle" filter of HDF5 and Blosc). Gaps and tfs are
    mostly small, so their high planes are runs of zeros that compress well.
 
-Only RM3 and CSQE read document texts, so ``load`` keeps the texts stream
-compressed and ``doc_texts`` decodes it on its first read, once per index:
-a bm25 run or ``csqe search`` never decompresses a text.
+An index holds its texts in one form, a function that returns the texts
+stream and each text's byte length: a built index's deflate worker (below), or
+a loaded index's stream as the file stored it. ``save`` writes what it
+returns, and ``doc_texts`` decodes it on the first read, once per index, so a
+built index decompresses the stream its own worker deflated. Only RM3 and CSQE
+read texts: a bm25 run or ``csqe search`` never decompresses one.
 
 ``build_index`` deflates the texts stream on a worker thread, started once the
 documents are sorted by id and before they are tokenized. zlib releases the
 interpreter lock while it compresses, so the deflate runs beside the
 tokenizing. Each return from zlib takes the lock back, which can wait one
 switch interval, so the worker hands zlib ``_TEXTS_CHUNK`` bytes of whole
-texts per call rather than a text per call. An index holds its texts stream
-and the byte length of each text: a built index the worker's result, which its
-first ``save`` waits for and keeps, and a loaded index the stream as the file
-stored it. ``save`` writes the stream the index holds. An exception the worker
-raised, such as ``UnicodeEncodeError`` for a text holding a lone surrogate, is
-raised again, with its own type, by every ``save``, before any file is opened.
+texts per call rather than a text per call. An exception the worker raised,
+such as ``UnicodeEncodeError`` for a text holding a lone surrogate, is raised
+again, with its own type, by every ``save``, before any file is opened, and by
+every read of ``doc_texts``; searches still answer.
 
 ``load`` checks that the header matches its crc32, that k1 and b pass
 ``check_bm25_params``, that the stream sizes add up to the file, that the
@@ -110,20 +111,16 @@ import os
 import struct
 import sys
 import threading
-import uuid
 import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
-from contextlib import suppress
-from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain, compress
 from operator import attrgetter, lt, sub
 from typing import Callable, Mapping, NamedTuple
 
-from .corpus import Document, is_single_field, tokenize
+from .corpus import Document, is_single_field, replacing, tokenize
 from .errors import DataFormatError
 
 DEFAULT_K1 = 0.9
@@ -202,32 +199,13 @@ class Ranking(Sequence):
         return f"Ranking({self.doc_ids!r}, {self.scores!r})"
 
 
-@dataclass(frozen=True)
-class WeightedQuery:
-    """Bag of term weights used by weighted retrieval (RM3 output)."""
-
-    weights: Mapping[str, float]
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ValueError("weighted query must contain at least one term")
-        positive = False
-        for term, w in self.weights.items():
-            if not math.isfinite(w) or w < 0.0:
-                raise ValueError(f"weight for term '{term}' must be finite and >= 0")
-            positive = positive or w > 0.0
-        if not positive:
-            raise ValueError("weighted query needs at least one positive weight")
-
-
 class InvertedIndex:
     """Immutable postings index. Build once, search from any thread.
 
-    ``terms`` and ``doc_ids`` are each strictly ascending. ``doc_texts`` is
-    given as the list of texts, or as a function that returns it, which the
-    first read of ``doc_texts`` calls. ``texts_stream`` is the texts stream as
-    ``save`` writes it and each text's UTF-8 byte length, given as that pair or
-    as a function that returns it, which the first ``save`` calls.
+    ``terms`` and ``doc_ids`` are each strictly ascending. ``texts`` returns
+    the texts stream and each text's UTF-8 byte length, for a built index from
+    its deflate worker: ``save`` writes them, and the first read of
+    ``doc_texts`` decodes them, so a built index decompresses its own stream.
     """
 
     def __init__(
@@ -238,8 +216,7 @@ class InvertedIndex:
         tfs: array,
         doc_ids: list[str],
         doc_lens: list[int],
-        doc_texts: list[str] | Callable[[], list[str]],
-        texts_stream: tuple[bytes, array] | Callable[[], tuple[bytes, array]],
+        texts: Callable[[], tuple[bytes, array]],
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
         source: str = "in-memory index",
@@ -253,9 +230,9 @@ class InvertedIndex:
         self._postings: dict[str, tuple[float, array, array]] = {}
         self.doc_ids = doc_ids
         self.doc_lens = doc_lens
-        self._texts = doc_texts
+        self._texts = texts
+        self._decoded: list[str] | None = None
         self._texts_lock = threading.Lock()
-        self._stream = texts_stream
         self.k1 = k1
         self.b = b
         self._source = source  # names the index in the error a damaged postings list raises
@@ -268,12 +245,12 @@ class InvertedIndex:
     @property
     def doc_texts(self) -> list[str]:
         """The document texts in ordinal order, decoded on the first read."""
-        texts = self._texts
-        if callable(texts):
+        texts = self._decoded
+        if texts is None:
             with self._texts_lock:  # concurrent first readers decode once
-                if callable(self._texts):
-                    self._texts = self._texts()
-                texts = self._texts
+                if self._decoded is None:
+                    self._decoded = _decode_texts(self._source, *self._texts())
+                texts = self._decoded
         return texts
 
     # -- statistics ---------------------------------------------------------
@@ -360,21 +337,27 @@ class InvertedIndex:
             return Ranking([], [])
         return self._rank(Counter(tokens), k)
 
-    def search_weighted(self, wq: WeightedQuery, k: int) -> Ranking:
-        """Top-k search where each term contributes weight times its BM25 term score."""
+    def search_weighted(self, weights: Mapping[str, float], k: int) -> Ranking:
+        """Top-k search where each term contributes weight times its BM25 term score.
+
+        Raises:
+            ValueError: on a k below 1, a weight that is not finite or is
+                negative, or no positive weight (an empty mapping included).
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
+        for term, w in weights.items():
+            if not (math.isfinite(w) and w >= 0.0):  # _rank takes no weight below 0.0
+                raise ValueError(f"weight for term '{term}' must be finite and >= 0")
+        if not any(weights.values()):
+            raise ValueError("weighted query needs at least one positive weight")
         # sorted term order keeps float accumulation reproducible
-        ordered = {t: wq.weights[t] for t in sorted(wq.weights)}
-        return self._rank(ordered, k)
+        return self._rank({t: weights[t] for t in sorted(weights)}, k)
 
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        stream = self._stream
-        if callable(stream):  # a built index's deflate worker: the first save waits for it
-            stream = self._stream = stream()
-        texts, text_lens = stream
+        texts, text_lens = self._texts()  # a built index's worker: waits for the deflate
         dfs = array(_U32, map(sub, self.offsets[1:], self.offsets))
         arrays = [array(_U32, self.doc_lens), dfs, self.gaps, self.tfs, text_lens]
         widths, planes = zip(*map(_planes, arrays))
@@ -387,17 +370,9 @@ class InvertedIndex:
         header = _MAGIC + struct.pack("<I", _FORMAT_VERSION) + _HEADER.pack(
             self.k1, self.b, *map(len, streams), zlib.crc32(streams[1]), *map(len, arrays),
             *widths)
-        # unique per call: concurrent or nested saves to one path never share it
-        tmp = f"{path}.tmp.{uuid.uuid4().hex}"
-        try:
-            with open(tmp, "xb") as fh:
-                fh.write(header + struct.pack("<I", zlib.crc32(header)))
-                fh.writelines(streams)
-            os.replace(tmp, path)
-        except BaseException:
-            with suppress(FileNotFoundError):  # open itself failed
-                os.unlink(tmp)
-            raise
+        with replacing(path) as fh:
+            fh.write(header + struct.pack("<I", zlib.crc32(header)))
+            fh.writelines(streams)
 
     @classmethod
     def load(cls, path: str) -> "InvertedIndex":
@@ -449,8 +424,7 @@ class InvertedIndex:
         except (zlib.error, ValueError) as exc:
             raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
         return cls(terms, offsets, gaps, tfs, doc_ids, doc_lens.tolist(),
-                   partial(_decode_texts, path, texts, text_lens), (texts, text_lens),
-                   k1=k1, b=b, source=path)
+                   lambda: (texts, text_lens), k1=k1, b=b, source=path)
 
 
 def _find(names: list[str], name: str) -> int | None:
@@ -459,8 +433,8 @@ def _find(names: list[str], name: str) -> int | None:
     return i if i < len(names) and names[i] == name else None
 
 
-def _decode_texts(path: str, stream: bytes, lengths: array) -> list[str]:
-    """The texts stream of the index file at ``path``, cut at the byte ``lengths``.
+def _decode_texts(source: str, stream: bytes, lengths: array) -> list[str]:
+    """The texts ``stream`` of the index ``source`` names, cut at the byte ``lengths``.
 
     Raises:
         DataFormatError: if the lengths do not add up to the stream, or a text
@@ -475,7 +449,7 @@ def _decode_texts(path: str, stream: bytes, lengths: array) -> list[str]:
         view, ends = memoryview(blob), list(accumulate(lengths))
         texts = [str(view[start:end], "utf-8") for start, end in zip([0, *ends], ends)]
     except (zlib.error, ValueError) as exc:
-        raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
+        raise DataFormatError(f"{source}: corrupt index payload ({exc})") from exc
     return texts
 
 
@@ -579,7 +553,7 @@ def build_index(
     doc_ids = [doc.id for doc in docs]
     doc_texts = [doc.text for doc in docs]
     # zlib releases the interpreter lock, so the texts deflate while the loop below tokenizes
-    texts_stream = _DeflateWorker(doc_texts)
+    texts = _DeflateWorker(doc_texts)
     doc_lens: list[int] = []
     flat: dict[str, list[int]] = {}  # term -> [ordinal, tf, ordinal, tf, ...]
     for ordinal, text in enumerate(doc_texts):
@@ -605,5 +579,4 @@ def build_index(
     for start in offsets[:-1]:
         before[start] = 0
     gaps = array(_U32, map(sub, ordinals, before))
-    return InvertedIndex(terms, offsets, gaps, tfs, doc_ids, doc_lens, doc_texts, texts_stream,
-                         k1=k1, b=b)
+    return InvertedIndex(terms, offsets, gaps, tfs, doc_ids, doc_lens, texts, k1=k1, b=b)

@@ -44,11 +44,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
-import uuid
 from pathlib import Path
 from typing import Optional, Sequence
 from urllib.parse import urlsplit
 
+from .corpus import replacing
 from .errors import BackendError, FixtureMissError
 
 log = logging.getLogger(__name__)
@@ -325,15 +325,8 @@ class GenerationCache:
     def put(self, fingerprint: str, texts: list[str]) -> None:
         body = json.dumps(texts).encode("ascii")  # escapes keep lone surrogates storable
         payload = b"sha256:" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body
-        # unique per call: writers of one fingerprint, even nested on one thread, never share it
-        tmp = self.root / f"{fingerprint}.tmp.{uuid.uuid4().hex}"
-        try:
-            with open(tmp, "xb") as fh:
-                fh.write(payload)
-            os.replace(tmp, self.root / fingerprint)
-        except BaseException:
-            tmp.unlink(missing_ok=True)  # no entry name: `clear` would never remove it
-            raise
+        with replacing(self.root / fingerprint) as fh:
+            fh.write(payload)
 
     def _entries(self):
         return [p for p in self.root.iterdir() if _ENTRY_NAME.fullmatch(p.name) and p.is_file()]

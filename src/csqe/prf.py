@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import STOPWORDS, tokenize
-from .index import InvertedIndex, Ranking, WeightedQuery
+from .index import InvertedIndex, Ranking
 
 DEFAULT_FB_DOCS = 10
 DEFAULT_FB_TERMS = 10
@@ -39,8 +39,8 @@ class Rm3Config:
             raise ValueError("original_weight must lie in [0, 1]")
 
 
-def rm3_expand(index: InvertedIndex, query_text: str, cfg: Rm3Config) -> WeightedQuery:
-    """Expand a query into an RM3-weighted term distribution.
+def rm3_expand(index: InvertedIndex, query_text: str, cfg: Rm3Config) -> dict[str, float]:
+    """Expand a query into RM3 term weights, the mapping ``search_weighted`` takes.
 
     Falls back to the plain normalized query distribution when the first
     pass retrieves nothing (degenerate PRF).
@@ -55,7 +55,7 @@ def rm3_expand(index: InvertedIndex, query_text: str, cfg: Rm3Config) -> Weighte
 
     hits = index.search(query_text, cfg.fb_docs)
     if not hits:
-        return WeightedQuery(q_dist)
+        return q_dist
 
     # softmax-normalize the feedback scores
     top = max(hits.scores)
@@ -86,10 +86,8 @@ def rm3_expand(index: InvertedIndex, query_text: str, cfg: Rm3Config) -> Weighte
     if ow > 0.0:
         for term, p in q_dist.items():
             weights[term] = weights.get(term, 0.0) + ow * p
-    if not weights:
-        # original_weight == 0 but the feedback docs were all empty
-        weights = dict(q_dist)
-    return WeightedQuery(weights)
+    # the query's own distribution when original_weight == 0 and the feedback docs were empty
+    return weights or q_dist
 
 
 def rm3_search(index: InvertedIndex, query_text: str, cfg: Rm3Config, k: int) -> Ranking:

@@ -835,6 +835,19 @@ def test_a_failed_write_leaves_no_temporary_file(toy_index, tmp_path, monkeypatc
     assert list(target.iterdir()) == []
 
 
+def test_a_failed_manifest_write_leaves_no_manifest_and_no_temporary_file(toy_index, tmp_path,
+                                                                         monkeypatch, capsys):
+    def dump(obj, fh, **kwargs):
+        fh.write('{"method": ')  # half a manifest, then the disk is full
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("csqe.cli.json.dump", dump)
+    assert main(_run_args("bm25", toy_index, tmp_path / "r.txt")) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.manifest.json")) == []
+    assert list(tmp_path.glob("*.tmp.*")) == []
+
+
 def test_cache_stats_and_clear_leave_files_that_are_not_entries(tmp_path, capsys):
     root = tmp_path / "cache"
     GenerationCache(root).put("c" * 64, ["x"])

@@ -19,7 +19,7 @@ import csqe.index
 from csqe.cli import main
 from csqe.corpus import Document, tokenize
 from csqe.errors import DataFormatError
-from csqe.index import InvertedIndex, Ranking, ScoredHit, WeightedQuery, build_index
+from csqe.index import InvertedIndex, Ranking, ScoredHit, build_index
 from csqe.prf import Rm3Config, rm3_search
 
 from oracles import (DictIndex, bm25_scores, bm25_weighted_scores, build_postings,
@@ -166,20 +166,20 @@ def test_search_duplicate_query_tokens_upweight(shark_index):
 
 def test_weighted_unit_weight_matches_search(shark_index):
     plain = shark_index.search("shark", 10)
-    weighted = shark_index.search_weighted(WeightedQuery({"shark": 1.0}), 10)
+    weighted = shark_index.search_weighted({"shark": 1.0}, 10)
     assert plain == weighted
 
 
 def test_weighted_scaling_preserves_ranking(shark_index):
-    wq1 = WeightedQuery({"shark": 1.0, "warm": 0.25})
-    wq2 = WeightedQuery({"shark": 2.0, "warm": 0.5})
+    wq1 = {"shark": 1.0, "warm": 0.25}
+    wq2 = {"shark": 2.0, "warm": 0.5}
     first = [h.doc_id for h in shark_index.search_weighted(wq1, 10)]
     second = [h.doc_id for h in shark_index.search_weighted(wq2, 10)]
     assert first == second
 
 
 def test_weighted_toy_oracle(shark_index):
-    hits = shark_index.search_weighted(WeightedQuery({"shark": 1.0, "cold": 10.0}), 10)
+    hits = shark_index.search_weighted({"shark": 1.0, "cold": 10.0}, 10)
     expected = ranking_from_scores(
         ["d1", "d2", "d3"],
         bm25_weighted_scores(
@@ -202,18 +202,18 @@ def test_weighted_toy_oracle(shark_index):
 ], ids=["most-documents", "few-documents"])
 def test_a_document_whose_score_rounds_to_zero_is_not_ranked(docs):
     index = build_index(docs)
-    assert index.search_weighted(WeightedQuery({"shark": 5e-324}), 10) == Ranking([], [])
+    assert index.search_weighted({"shark": 5e-324}, 10) == Ranking([], [])
 
 
-def test_weighted_query_validation():
-    with pytest.raises(ValueError):
-        WeightedQuery({})
-    with pytest.raises(ValueError):
-        WeightedQuery({"a": -0.1})
-    with pytest.raises(ValueError):
-        WeightedQuery({"a": float("nan")})
-    with pytest.raises(ValueError):
-        WeightedQuery({"a": 0.0})
+def test_weighted_query_validation(shark_index):
+    # search_weighted is public, and _rank takes no weight below 0.0
+    for weights, message in [({}, "positive weight"),
+                             ({"shark": 1.0, "warm": -0.1}, "'warm' must be finite and >= 0"),
+                             ({"shark": float("nan")}, "'shark' must be finite and >= 0"),
+                             ({"shark": float("inf")}, "'shark' must be finite and >= 0"),
+                             ({"shark": 0.0, "warm": 0.0}, "positive weight")]:
+        with pytest.raises(ValueError, match=message):
+            shark_index.search_weighted(weights, 10)
 
 
 # -- Ranking ----------------------------------------------------------------------
@@ -243,7 +243,7 @@ def test_a_ranking_reads_as_a_sequence_of_scored_hits():
 
 def test_every_search_returns_a_ranking(shark_index):
     searches = [shark_index.search("shark", 10), shark_index.search("the of and", 10),
-                shark_index.search_weighted(WeightedQuery({"shark": 1.0}), 10),
+                shark_index.search_weighted({"shark": 1.0}, 10),
                 rm3_search(shark_index, "shark", Rm3Config(fb_docs=2, fb_terms=2), 10)]
     assert all(type(hits) is Ranking for hits in searches)
     assert searches[0].doc_ids == ["d1", "d2"] and searches[1] == Ranking([], [])
@@ -276,7 +276,7 @@ def test_search_matches_bruteforce_oracle(token_lists, query, weights):
     hits = index.search(" ".join(query), len(docs))
     assert list(hits) == ranking_from_scores(ids, bm25_scores(token_lists, query))
     if any(weights.values()):
-        hits = index.search_weighted(WeightedQuery(weights), len(docs))
+        hits = index.search_weighted(weights, len(docs))
         assert list(hits) == ranking_from_scores(ids, bm25_weighted_scores(token_lists, weights))
 
 
@@ -531,6 +531,9 @@ def test_a_text_that_is_not_utf8_fails_every_save_and_leaves_no_file(tmp_path, c
     for _ in range(2):  # the worker's error is raised again, with its own type
         with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
             index.save(str(tmp_path / "bad.bin"))
+        with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
+            index.doc_texts  # decoded from the stream the worker failed to make
+    assert index.search("warm", 10).doc_ids == ["b"]
     assert list(tmp_path.iterdir()) == []
     assert set(threading.enumerate()) <= before  # the deflate worker has ended
     assert capsys.readouterr().err == ""
@@ -579,9 +582,10 @@ def test_save_load_round_trips_exactly(tmp_path_factory, texts, k1, b, query):
     assert (loaded.terms, loaded.offsets) == (index.terms, index.offsets)
     assert (loaded.gaps, loaded.tfs) == (index.gaps, index.tfs)
     assert _decoded_lists(loaded) == _decoded_lists(index)
-    assert (loaded.doc_ids, loaded.doc_lens, loaded.doc_texts) == (
-        index.doc_ids, index.doc_lens, index.doc_texts
-    )
+    assert (loaded.doc_ids, loaded.doc_lens) == (index.doc_ids, index.doc_lens)
+    # both sides decode one stream, so each is held to the documents' own texts too
+    own_texts = [doc.text for doc in sorted(docs, key=lambda doc: doc.id)]
+    assert loaded.doc_texts == index.doc_texts == own_texts
     assert (loaded.k1, loaded.b) == (index.k1, index.b)
     for text in [" ".join(query)] + texts[:3]:
         assert loaded.search(text, 10) == index.search(text, 10)
@@ -898,8 +902,8 @@ def test_a_damaged_postings_list_is_refused_on_its_first_search(tmp_path, shark_
 def test_a_file_with_one_bad_list_refuses_only_that_term(tmp_path, shark_index, corrupt,
                                                           message):
     index = InvertedIndex.load(str(_damaged(tmp_path, shark_index, corrupt)))
-    good = WeightedQuery({"cold": 1.0, "warm": 0.5})
-    bad = WeightedQuery({"cold": 1.0, "shark": 0.5})
+    good = {"cold": 1.0, "warm": 0.5}
+    bad = {"cold": 1.0, "shark": 0.5}
     for search in (lambda index: index.search("shark", 10),
                    lambda index: index.search_weighted(bad, 10)):
         for _ in range(2):  # nothing was kept, so a second search raises again
@@ -954,8 +958,9 @@ def test_a_run_over_a_bad_list_fails_and_leaves_its_output(tmp_path, shark_index
     assert [p.name for p in output.parent.iterdir()] == ["run.txt"]  # no tmp, no manifest
 
 
+@pytest.mark.parametrize("kind", ["built", "loaded"])
 def test_concurrent_first_reads_of_doc_texts_share_one_decoded_list(tmp_path, shark_docs,
-                                                                   monkeypatch):
+                                                                   monkeypatch, kind):
     path = tmp_path / "toy.bin"
     build_index(shark_docs).save(str(path))
     decode, calls = csqe.index._decode_texts, []
@@ -966,7 +971,7 @@ def test_concurrent_first_reads_of_doc_texts_share_one_decoded_list(tmp_path, sh
         return decode(*args)
 
     monkeypatch.setattr(csqe.index, "_decode_texts", slow_decode)
-    index = InvertedIndex.load(str(path))
+    index = build_index(shark_docs) if kind == "built" else InvertedIndex.load(str(path))
     start = threading.Barrier(8)
     seen = []
 
@@ -1014,7 +1019,7 @@ def test_concurrent_first_uses_of_a_term_all_get_the_same_hits(tmp_path):
     built = build_index(docs)
     path = tmp_path / "long.bin"
     built.save(str(path))
-    weighted = WeightedQuery({"shark": 0.7, "warm": 0.3})
+    weighted = {"shark": 0.7, "warm": 0.3}
     for query in (lambda index: index.search("shark", 50),
                   lambda index: index.search_weighted(weighted, 50)):
         index = InvertedIndex.load(str(path))
@@ -1096,7 +1101,7 @@ def test_decoded_postings_left_by_earlier_queries_never_change_a_result(
     for tokens in earlier:  # fills other slots, and maybe the query's own
         used.search(" ".join(tokens), 3)
     searches = [lambda index: index.search(" ".join(query), len(docs)),
-                lambda index: index.search_weighted(WeightedQuery(weights), len(docs))]
+                lambda index: index.search_weighted(weights, len(docs))]
     for search in searches:
         expected = search(built)
         # tuples compare their float scores with ==, so the score bits must agree
@@ -1142,7 +1147,7 @@ def test_terms_and_ids_are_looked_up_as_a_dict_would(tmp_path_factory, docs, que
         for query in queries:
             hits = index.search(" ".join(query), 10)
             assert list(zip(hits.doc_ids, hits.scores)) == oracle.search(query, 10)
-        hits = index.search_weighted(WeightedQuery(weights), 10)
+        hits = index.search_weighted(weights, 10)
         assert list(zip(hits.doc_ids, hits.scores)) == oracle.search_weighted(weights, 10)
         assert set(index._postings) <= set(index.terms)  # an absent term is not kept
 

@@ -29,15 +29,15 @@ def test_empty_query_rejected(shark_index):
 
 
 def test_original_weight_one_returns_query_distribution(shark_index):
-    wq = rm3_expand(shark_index, "shark shark warm", Rm3Config(original_weight=1.0))
-    assert wq.weights == {"shark": pytest.approx(2 / 3), "warm": pytest.approx(1 / 3)}
+    weights = rm3_expand(shark_index, "shark shark warm", Rm3Config(original_weight=1.0))
+    assert weights == {"shark": pytest.approx(2 / 3), "warm": pytest.approx(1 / 3)}
 
 
 def test_original_weight_zero_single_doc_is_its_distribution(shark_index):
     # fb_docs=1 keeps only d1 ("shark shark"); softmax over one doc is 1
     cfg = Rm3Config(fb_docs=1, fb_terms=10, original_weight=0.0)
-    wq = rm3_expand(shark_index, "shark", cfg)
-    assert wq.weights == {"shark": pytest.approx(1.0)}
+    weights = rm3_expand(shark_index, "shark", cfg)
+    assert weights == {"shark": pytest.approx(1.0)}
 
 
 # -- oracle case ------------------------------------------------------------------
@@ -45,17 +45,17 @@ def test_original_weight_zero_single_doc_is_its_distribution(shark_index):
 
 def test_expand_matches_step_by_step_oracle(shark_index):
     cfg = Rm3Config(fb_docs=2, fb_terms=2, original_weight=0.5)
-    wq = rm3_expand(shark_index, "shark", cfg)
+    weights = rm3_expand(shark_index, "shark", cfg)
     expected = rm3_weights(
         _SHARK_IDS, _SHARK_TOKEN_LISTS, ["shark"],
         fb_docs=2, fb_terms=2, original_weight=0.5, stopwords=STOPWORDS,
     )
-    assert set(wq.weights) == set(expected)
+    assert set(weights) == set(expected)
     for term, weight in expected.items():
-        assert wq.weights[term] == pytest.approx(weight, abs=1e-9)
+        assert weights[term] == pytest.approx(weight, abs=1e-9)
     # hand-derived literals guard against a shared structural bug
-    assert wq.weights["shark"] == pytest.approx(0.8842395868413049, abs=1e-9)
-    assert wq.weights["warm"] == pytest.approx(0.11576041315869513, abs=1e-9)
+    assert weights["shark"] == pytest.approx(0.8842395868413049, abs=1e-9)
+    assert weights["warm"] == pytest.approx(0.11576041315869513, abs=1e-9)
 
 
 def test_rm3_search_matches_oracle_ranking(shark_index):
@@ -91,15 +91,15 @@ def test_original_weight_one_preserves_plain_ranking(shark_index):
 )
 def test_weights_form_a_distribution(shark_index, ow, fb_docs, fb_terms):
     cfg = Rm3Config(fb_docs=fb_docs, fb_terms=fb_terms, original_weight=ow)
-    wq = rm3_expand(shark_index, "shark warm", cfg)
-    assert all(w >= 0.0 for w in wq.weights.values())
-    assert sum(wq.weights.values()) == pytest.approx(1.0, abs=1e-9)
+    weights = rm3_expand(shark_index, "shark warm", cfg)
+    assert all(w >= 0.0 for w in weights.values())
+    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_at_most_fb_terms_feedback_terms(shark_index):
     cfg = Rm3Config(fb_docs=3, fb_terms=1, original_weight=0.0)
-    wq = rm3_expand(shark_index, "shark", cfg)
-    assert len(wq.weights) == 1
+    weights = rm3_expand(shark_index, "shark", cfg)
+    assert len(weights) == 1
 
 
 # Porter fixed points that are not stopwords, so a document's text tokenizes
@@ -132,7 +132,7 @@ def test_expand_selects_the_oracle_s_terms_on_corpora_with_ties(token_lists, que
     doc_ids = [f"d{i:02d}" for i in range(len(token_lists))]
     index = build_index([Document(d, " ".join(t)) for d, t in zip(doc_ids, token_lists)])
     cfg = Rm3Config(fb_docs=fb_docs, fb_terms=fb_terms, original_weight=ow)
-    weights = rm3_expand(index, " ".join(query), cfg).weights
+    weights = rm3_expand(index, " ".join(query), cfg)
     expected = rm3_weights(doc_ids, token_lists, query, fb_docs=fb_docs, fb_terms=fb_terms,
                            original_weight=ow, stopwords=STOPWORDS)
     assert set(weights) == set(expected)
@@ -148,7 +148,7 @@ def test_expand_selects_the_oracle_s_terms_on_corpora_with_ties(token_lists, que
 def test_monotone_in_original_weight(shark_index, low, high):
     if low > high:
         low, high = high, low
-    weights_low = rm3_expand(shark_index, "shark", Rm3Config(original_weight=low)).weights
-    weights_high = rm3_expand(shark_index, "shark", Rm3Config(original_weight=high)).weights
+    weights_low = rm3_expand(shark_index, "shark", Rm3Config(original_weight=low))
+    weights_high = rm3_expand(shark_index, "shark", Rm3Config(original_weight=high))
     # "shark" is the sole original term; more original weight never hurts it
     assert weights_high.get("shark", 0.0) >= weights_low.get("shark", 0.0) - 1e-12
