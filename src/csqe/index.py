@@ -78,15 +78,27 @@ returns, and ``doc_texts`` decodes it on the first read, once per index, so a
 built index decompresses the stream its own worker deflated. Only RM3 and CSQE
 read texts: a bm25 run or ``csqe search`` never decompresses one.
 
-``build_index`` deflates the texts stream on a worker thread, started once the
-documents are sorted by id and before they are tokenized. zlib releases the
-interpreter lock while it compresses, so the deflate runs beside the
-tokenizing. Each return from zlib takes the lock back, which can wait one
-switch interval, so the worker hands zlib ``_TEXTS_CHUNK`` bytes of whole
-texts per call rather than a text per call. An exception the worker raised,
-such as ``UnicodeEncodeError`` for a text holding a lone surrogate, is raised
-again, with its own type, by every ``save``, before any file is opened, and by
-every read of ``doc_texts``; searches still answer.
+zlib releases the interpreter lock while it works, so three of its calls run
+on a worker thread (``_Worker``, named ``csqe-<function>``) beside the thread
+that started it:
+
+- ``build_index`` deflates the texts stream, from once the documents are
+  sorted by id, while it tokenizes them;
+- ``save`` deflates the names stream while it lays out the arrays' byte
+  planes and deflates them itself;
+- ``load`` inflates the arrays stream while it checks the texts stream's
+  crc32, then inflates, decodes, splits and checks the names.
+
+Each return from zlib takes the lock back, which can wait one switch interval,
+so zlib is handed few, large calls: the texts worker gives it ``_TEXTS_CHUNK``
+bytes of whole texts per call rather than a text per call, and ``load`` gives
+the arrays' inflate their byte size as its buffer, so that it returns once.
+``save`` and ``load`` join their worker before they return, whatever they
+raise. An exception a worker raised, such as ``UnicodeEncodeError`` for a
+text holding a lone surrogate, is raised afresh, with its type and chained to
+it, by each wait for the worker: by every ``save`` of a built index, before
+any file is opened, and by every read of its ``doc_texts``; searches still
+answer.
 
 ``load`` checks that the header matches its crc32, that k1 and b pass
 ``check_bm25_params``, that the stream sizes add up to the file, that the
@@ -94,12 +106,15 @@ texts stream matches its crc32, that the names stream is UTF-8 and splits at
 whitespace into one name per document and term (a name that is empty or holds
 whitespace breaks the count), that there is a document, that the array widths
 and lengths agree, and that the document ids and the terms are each strictly
-ascending, and raises ``DataFormatError`` otherwise. A postings list that
-names a document twice, or one that does not exist, raises
-``DataFormatError`` from the first search that reads it, before its triple is
-kept, so it is never scored and every later search of the term raises again:
-a search reads a few hundred of the lists, and checking all of them was about
-half of a load. A texts stream that passes
+ascending, and raises ``DataFormatError`` otherwise. Of several problems, the
+first in this order is reported: the header's, the stream sizes, k1 and b, the
+texts crc32, the names stream's inflate and UTF-8, the arrays stream's
+inflate, widths and size, then no document, the names count, the names' order
+and the section lengths. A postings list that names a document twice, or one
+that does not exist, raises ``DataFormatError`` from the first search that
+reads it, before its triple is kept, so it is never scored and every later
+search of the term raises again: a search reads a few hundred of the lists,
+and checking all of them was about half of a load. A texts stream that passes
 its crc32 but whose text lengths do not add up to its size, or whose texts are
 not UTF-8, raises ``DataFormatError`` from the first read of ``doc_texts``.
 Files of earlier format versions, 5 included (its ids may be out of order),
@@ -117,7 +132,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress
-from operator import attrgetter, lt, sub
+from operator import attrgetter, lt, mul, sub
 from typing import Callable, Mapping, NamedTuple
 
 from .corpus import Document, is_single_field, replacing, tokenize
@@ -358,15 +373,14 @@ class InvertedIndex:
 
     def save(self, path: str) -> None:
         texts, text_lens = self._texts()  # a built index's worker: waits for the deflate
-        dfs = array(_U32, map(sub, self.offsets[1:], self.offsets))
-        arrays = [array(_U32, self.doc_lens), dfs, self.gaps, self.tfs, text_lens]
-        widths, planes = zip(*map(_planes, arrays))
-        streams = [
-            zlib.compress("\n".join(chain(self.doc_ids, self.terms)).encode("utf-8"),
-                          _ZLIB_LEVEL),
-            texts,
-            zlib.compress(b"".join(planes), _ZLIB_LEVEL),
-        ]
+        names = "\n".join(chain(self.doc_ids, self.terms)).encode("utf-8")
+        # zlib releases the interpreter lock: the names deflate beside the arrays below
+        with _Worker(zlib.compress, names, _ZLIB_LEVEL) as names_stream:
+            dfs = array(_U32, map(sub, self.offsets[1:], self.offsets))
+            arrays = [array(_U32, self.doc_lens), dfs, self.gaps, self.tfs, text_lens]
+            widths, planes = zip(*map(_planes, arrays))
+            packed = zlib.compress(b"".join(planes), _ZLIB_LEVEL)
+            streams = [names_stream(), texts, packed]
         header = _MAGIC + struct.pack("<I", _FORMAT_VERSION) + _HEADER.pack(
             self.k1, self.b, *map(len, streams), zlib.crc32(streams[1]), *map(len, arrays),
             *widths)
@@ -400,29 +414,31 @@ class InvertedIndex:
                 )
             # one read per stream: only the texts stream is kept, still compressed
             names, texts, packed = map(fh.read, sizes)
-        try:
-            check_bm25_params(k1, b)
-            if zlib.crc32(texts) != texts_crc:
-                raise ValueError("texts stream fails its crc32 check")
-            # at any whitespace, so a name that is empty or holds some fails the count below
-            names = zlib.decompress(names).decode("utf-8").split()
-            doc_lens, dfs, gaps, tfs, text_lens = _read_arrays(
-                zlib.decompress(packed), shape[:5], shape[5:])
-            doc_count = len(doc_lens)
-            if not doc_count:
-                raise ValueError("index holds no documents")
-            if len(names) != doc_count + len(dfs):
-                raise ValueError(f"names stream holds {len(names)} names, not "
-                                 f"{doc_count} document ids and {len(dfs)} terms")
-            doc_ids, terms = names[:doc_count], names[doc_count:]
-            for what, sorted_names in (("document ids", doc_ids), ("terms", terms)):
-                if not all(map(lt, sorted_names, sorted_names[1:])):
-                    raise ValueError(f"{what} are not strictly ascending")
-            offsets = [0, *accumulate(dfs)]
-            if not (offsets[-1] == len(gaps) == len(tfs) and len(text_lens) == doc_count):
-                raise ValueError("section lengths disagree")
-        except (zlib.error, ValueError) as exc:
-            raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
+        doc_count, term_count = shape[:2]
+        # the arrays' byte size as the inflate's buffer, so that zlib fills it in one call
+        # and takes the interpreter lock back once, not once per block of a growing
+        # buffer; deflate expands at most 1032-fold, which bounds what a damaged header asks
+        size = min(sum(map(mul, shape[:5], shape[5:])), 1032 * len(packed)) + 1
+        # zlib releases the interpreter lock: the arrays inflate beside the names below
+        with _Worker(zlib.decompress, packed, zlib.MAX_WBITS, size) as unpacked:
+            try:
+                check_bm25_params(k1, b)
+                if zlib.crc32(texts) != texts_crc:
+                    raise ValueError("texts stream fails its crc32 check")
+                # at any whitespace, so a name that is empty or holds some fails the count
+                names = zlib.decompress(names).decode("utf-8").split()
+                doc_ids, terms = names[:doc_count], names[doc_count:]
+                # found beside the inflate, raised after the arrays' own problems
+                problem = _names_problem(doc_ids, terms, doc_count, term_count)
+                doc_lens, dfs, gaps, tfs, text_lens = _read_arrays(
+                    unpacked(), shape[:5], shape[5:])
+                if problem:
+                    raise ValueError(problem)
+                offsets = [0, *accumulate(dfs)]
+                if not (offsets[-1] == len(gaps) == len(tfs) and len(text_lens) == doc_count):
+                    raise ValueError("section lengths disagree")
+            except (zlib.error, ValueError) as exc:
+                raise DataFormatError(f"{path}: corrupt index payload ({exc})") from exc
         return cls(terms, offsets, gaps, tfs, doc_ids, doc_lens.tolist(),
                    lambda: (texts, text_lens), k1=k1, b=b, source=path)
 
@@ -431,6 +447,23 @@ def _find(names: list[str], name: str) -> int | None:
     """The position of ``name`` in the strictly ascending ``names``, or None."""
     i = bisect_left(names, name)
     return i if i < len(names) and names[i] == name else None
+
+
+def _names_problem(doc_ids: list[str], terms: list[str], doc_count: int,
+                   term_count: int) -> str | None:
+    """What is wrong with the names of a file whose header counts ``doc_count``
+    documents and ``term_count`` terms, split into its first ``doc_count`` and
+    the rest, or None: no document, a count that does not add up, or names that
+    are not strictly ascending."""
+    if not doc_count:
+        return "index holds no documents"
+    if len(doc_ids) + len(terms) != doc_count + term_count:
+        return (f"names stream holds {len(doc_ids) + len(terms)} names, not {doc_count} "
+                f"document ids and {term_count} terms")
+    for what, sorted_names in (("document ids", doc_ids), ("terms", terms)):
+        if not all(map(lt, sorted_names, sorted_names[1:])):
+            return f"{what} are not strictly ascending"
+    return None
 
 
 def _decode_texts(source: str, stream: bytes, lengths: array) -> list[str]:
@@ -453,29 +486,41 @@ def _decode_texts(source: str, stream: bytes, lengths: array) -> list[str]:
     return texts
 
 
-class _DeflateWorker:
-    """Deflates texts into the texts stream on a thread of its own, started at once.
+class _Worker:
+    """Runs ``fn(*args)`` on a thread of its own, named ``csqe-<fn>``, started at once.
 
-    Calling it waits for the thread, then returns the stream and each text's
-    UTF-8 byte length, or raises again what the thread raised.
+    ``fn`` is meant to spend its time in a call that releases the interpreter
+    lock, such as zlib's, so that it runs beside the thread that started it.
+    Calling the worker waits for the thread, then returns what ``fn``
+    returned, or raises a fresh exception of the type ``fn`` raised, chained to
+    it, so that each call's traceback holds only its own frames. Leaving a
+    ``with`` block over the worker waits for the thread, whatever the block
+    raised.
     """
 
-    def __init__(self, texts: list[str]):
-        self._result: tuple[bytes, array] | BaseException | None = None
-        self._thread = threading.Thread(target=self._run, args=(texts,), name="csqe-deflate")
+    def __init__(self, fn: Callable, *args):
+        self._result = self._error = None
+        self._thread = threading.Thread(target=self._run, args=(fn, args),
+                                        name="csqe-" + fn.__name__.lstrip("_"))
         self._thread.start()
 
-    def _run(self, texts: list[str]) -> None:
+    def _run(self, fn: Callable, args: tuple) -> None:
         try:
-            self._result = _deflate_texts(texts)
-        except BaseException as exc:  # raised again on the thread that waits for the stream
-            self._result = exc
+            self._result = fn(*args)
+        except BaseException as exc:  # raised again on each thread that calls the worker
+            self._error = exc
 
-    def __call__(self) -> tuple[bytes, array]:
+    def __call__(self):
         self._thread.join()
-        if isinstance(self._result, BaseException):
-            raise self._result
+        if self._error is not None:
+            raise type(self._error)(*self._error.args) from self._error
         return self._result
+
+    def __enter__(self) -> "_Worker":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._thread.join()
 
 
 def _deflate_texts(texts: list[str]) -> tuple[bytes, array]:
@@ -553,7 +598,7 @@ def build_index(
     doc_ids = [doc.id for doc in docs]
     doc_texts = [doc.text for doc in docs]
     # zlib releases the interpreter lock, so the texts deflate while the loop below tokenizes
-    texts = _DeflateWorker(doc_texts)
+    texts = _Worker(_deflate_texts, doc_texts)
     doc_lens: list[int] = []
     flat: dict[str, list[int]] = {}  # term -> [ordinal, tf, ordinal, tf, ...]
     for ordinal, text in enumerate(doc_texts):

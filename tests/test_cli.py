@@ -15,7 +15,7 @@ from csqe.errors import BackendError
 from csqe.expansion import build_keqe_prompt
 from csqe.llm import GenerationCache, MockBackend, RemoteBackend, fixture_key
 
-from conftest import REPO_ROOT, TOY_DIR
+from conftest import DATA_DIR, REPO_ROOT, TOY_DIR
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,19 @@ def _mock_args():
 
 
 # -- exit codes ------------------------------------------------------------------
+
+
+def test_no_csqe_thread_is_alive_when_a_command_returns(toy_index, tmp_path, capsys):
+    # index, save and load each join the zlib worker they start before main returns
+    commands = [
+        ["index", "--input", str(TOY_DIR / "corpus.jsonl"), "--output", str(tmp_path / "i.bin")],
+        ["search", "--index", str(toy_index), "--query", "shark"],
+        _run_args("rm3", toy_index, tmp_path / "rm3.txt"),
+        _run_args("csqe", toy_index, tmp_path / "csqe.txt", *_mock_args()),
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+        assert not [t for t in threading.enumerate() if t.name.startswith("csqe-")], argv[0]
 
 
 def test_missing_required_flag_is_usage_error(capsys):
@@ -682,6 +695,19 @@ def test_run_help_lists_every_setting_with_its_default(capsys):
         if default is not None:
             help_text = re.search(rf"{flag} \S+ (.*?)(?= --|$)", text).group(1)
             assert f"(default {default})" in help_text, flag
+
+
+# argparse lays help out differently in other Python versions (3.13 changed how an option
+# with a metavar and a short form is listed); these pins are 3.11's, at 80 columns
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help pinned as Python 3.11 prints it")
+@pytest.mark.parametrize("command", ["csqe", "index", "search", "run", "eval", "cache"])
+def test_help_text_is_byte_identical_to_its_pinned_copy(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"] if command != "csqe" else ["--help"])
+    assert exited.value.code == 0
+    pinned = (DATA_DIR / "help" / f"{command}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == pinned
 
 
 def test_dump_prompts_writes_audit_files(toy_index, tmp_path):

@@ -28,6 +28,7 @@ from csqe.index import InvertedIndex, Ranking, build_index
 from csqe.llm import GenerationCache, LlmClient, MockBackend, RemoteBackend, fixture_key
 
 from conftest import DATA_DIR
+from responses import PROMPT_DOCS, extraction_responses
 
 
 # -- prompt builders -----------------------------------------------------------
@@ -261,6 +262,21 @@ def test_sentences_quoted_from_docs_always_verify(case):
     raw = format_extraction_response("q", sections)
     parsed = parse_csqe_response(raw, k)
     assert verify_extraction(parsed.sentences, docs) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(min_value=1, max_value=len(PROMPT_DOCS)))
+def test_labelled_responses_parse_and_verify_as_their_labels_say(data, k):
+    # verbatim, paraphrased and invented sentences, quoted or as prose, under headers in
+    # range, out of range, repeated or too long for int(), claiming relevant documents or not
+    response = data.draw(extraction_responses(k))
+    parsed = parse_csqe_response(response.raw, k)
+    assert parsed.relevant_doc_ordinals == response.ordinals
+    assert parsed.sentences == response.sentences
+    expected = response.verbatim / len(response.sentences) if response.sentences else 1.0
+    assert verify_extraction(parsed.sentences, PROMPT_DOCS[:k]) == expected
+    # a document a judge would not call relevant is reported like any other claim
+    assert response.irrelevant_claims <= set(parsed.relevant_doc_ordinals)
 
 
 # -- query composition -------------------------------------------------------------

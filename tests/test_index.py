@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+import traceback
 import zlib
 from array import array
 from itertools import accumulate
@@ -539,6 +540,23 @@ def test_a_text_that_is_not_utf8_fails_every_save_and_leaves_no_file(tmp_path, c
     assert capsys.readouterr().err == ""
 
 
+def test_a_failed_deflate_raises_a_fresh_exception_on_every_read():
+    index = build_index([Document("a", "warm \ud800")])
+    frames, causes = [], []
+    for _ in range(10):
+        with pytest.raises(UnicodeEncodeError, match="surrogates not allowed") as raised:
+            index.doc_texts
+        frames.append(len(traceback.extract_tb(raised.value.__traceback__)))
+        causes.append(raised.value.__cause__)
+    # each read raises its own exception, chained to the one the worker stored, so
+    # neither gathers the frames of earlier reads
+    assert type(raised.value) is UnicodeEncodeError
+    assert frames[-1] == frames[0]
+    assert all(cause is causes[0] for cause in causes)
+    assert type(causes[0]) is UnicodeEncodeError and causes[0] is not raised.value
+    assert len(traceback.extract_tb(causes[0].__traceback__)) == 2  # _run, then the deflate
+
+
 def test_concurrent_first_saves_of_a_built_index_write_one_file(tmp_path):
     docs = [Document(f"d{i:03d}", f"shark warm {i} " * 40) for i in range(300)]
     index = build_index(docs)
@@ -700,11 +718,19 @@ def _header_bit_flipped(path):
     path.write_bytes(bytes(data))
 
 
-def _texts_byte_flipped(path):
-    data = bytearray(path.read_bytes())
-    names_size = HEADER.unpack_from(data, 12)[2]
-    data[BODY + names_size + 2] ^= 0xFF  # inside the texts stream, after the zlib header
-    path.write_bytes(bytes(data))
+def _streams_damaged(*streams):
+    """Flip every bit of one byte of each of ``streams`` (names, texts, arrays), in place:
+    the first of the names (the zlib header's), one of the texts (which the crc32 covers),
+    the last of the arrays (the adler32 that ends the zlib stream, checked once the
+    whole stream is inflated)."""
+    def corrupt(path):
+        data = bytearray(path.read_bytes())
+        starts = list(accumulate(HEADER.unpack_from(data, 12)[2:5], initial=BODY))
+        at = {"names": starts[0], "texts": starts[1] + 2, "arrays": starts[3] - 1}
+        for stream in streams:
+            data[at[stream]] ^= 0xFF
+        path.write_bytes(bytes(data))
+    return corrupt
 
 
 def _edit_arrays(i, edit):
@@ -764,7 +790,7 @@ def _header_only_part(path):
     (_v5_file, "unsupported index format version 5"),
     (_header_bit_flipped, "header fails its crc32 check"),
     (_header_fields(_bump(4, 1)), "do not sum"),  # the arrays stream's size
-    (_texts_byte_flipped, "texts stream fails its crc32 check"),
+    (_streams_damaged("texts"), "texts stream fails its crc32 check"),
     # same byte size, but sum(dfs) != number of postings
     (_edit_arrays(1, _bump(0, 1)), "section lengths disagree"),
     # one text length fewer than there are documents
@@ -775,6 +801,10 @@ def _header_only_part(path):
     (_strings(b"d1\nd2\nd3\ncold\nshark\nshark"), "terms are not strictly ascending"),
     (_strings(b"d1\nd2\nd3\ncold\nshark\nwarm\nzebra"),
      "names stream holds 7 names, not 3 document ids and 3 terms"),
+    # names out of order are found before the arrays are inflated, and reported after them
+    (lambda path: (_strings(b"d2\nd1\nd3\ncold\nshark\nwarm")(path),
+                   _streams_damaged("arrays")(path)),
+     "Error -3 while decompressing data: incorrect data check"),
     (_width(3), "array width 3 is not 1, 2 or 4"),
     (_width(8), "array width 8 is not 1, 2 or 4"),
     (_strings(b"d1\nd2\xff\nd3\ncold\nshark\nwarm"), "codec can't decode byte 0xff"),
@@ -795,6 +825,7 @@ def _header_only_part(path):
     (_bm25_params(0.9, 3.0), "b must be >= 0 and <= 1, got 3.0"),
 ], ids=["v1", "v2", "v3", "v4", "v5", "header-crc32", "sizes", "texts-crc32", "dfs", "text-lens",
         "duplicate-doc-id", "unsorted-ids", "unsorted-terms", "repeated-term", "names-count",
+        "unsorted-ids-and-arrays",
         "width3", "width8", "strings",
         "id-with-space", "empty-id", "id-with-line-separator", "no-documents", "header",
         "k1-nan", "k1-inf", "k1-negative", "b-nan", "b-inf", "b-above-1"])
@@ -808,6 +839,39 @@ def test_load_rejects_a_damaged_file_as_data_error(tmp_path, shark_index, capsys
     assert main(["search", "--index", str(path), "--query", "shark"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err
+
+
+@pytest.fixture(scope="module")
+def wide_index_file(tmp_path_factory):
+    """A saved index whose arrays take a millisecond or so to inflate, so that a load that
+    refused the file before joining its worker would leave the worker running."""
+    rng = random.Random(31)
+    words = [f"w{i}" for i in range(400)]
+    docs = [Document(f"d{i:04d}", " ".join(rng.choices(words, k=40))) for i in range(3000)]
+    path = tmp_path_factory.mktemp("wide") / "wide.bin"
+    build_index(docs).save(str(path))
+    return path
+
+
+# damage to more than one stream is reported as it was when load read each stream in turn:
+# the texts crc32 first, then the names, then the arrays
+@pytest.mark.parametrize("streams, message", [
+    (("names",), "Error -3 while decompressing data: incorrect header check"),
+    (("arrays",), "Error -3 while decompressing data: incorrect data check"),
+    (("texts",), "texts stream fails its crc32 check"),
+    (("names", "arrays"), "Error -3 while decompressing data: incorrect header check"),
+    (("texts", "names"), "texts stream fails its crc32 check"),
+], ids=["names", "arrays", "texts-crc32", "names-and-arrays", "texts-and-names"])
+def test_a_damaged_stream_is_refused_as_before_and_leaves_no_thread(
+        tmp_path, wide_index_file, streams, message):
+    path = tmp_path / "wide.bin"
+    path.write_bytes(wide_index_file.read_bytes())
+    _streams_damaged(*streams)(path)
+    before = threading.enumerate()
+    with pytest.raises(DataFormatError) as refused:
+        InvertedIndex.load(str(path))
+    assert threading.enumerate() == before  # the arrays inflate was joined, whatever failed
+    assert str(refused.value) == f"{path}: corrupt index payload ({message})"
 
 
 # listed out of id order, and of lengths 4, 1 and 6, so that k1 and b each change every score
